@@ -40,7 +40,7 @@ from .core.series import (
     parse_series_document,
     series_from_moments,
 )
-from .errors import DomainError, InputError, PadelabError, SchemaError
+from .errors import DomainError, InputError, PadelabError
 from .montessus import (
     parse_experiment_document,
     report_to_csv_rows,
@@ -614,15 +614,9 @@ def main(argv=None) -> int:
         if args.precision is not None:
             set_precision(args.precision)
         return _HANDLERS[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PadelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,6 @@ convergent pairs, is cf_from_convergents below.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
@@ -207,8 +206,7 @@ class AlgebraicCF(ContinuedFraction):
 class _StreamCF(AlgebraicCF):
     """Unbounded algebraic fraction defined by a term rule.
 
-    Terms are computed on demand and cached; the cache is guarded so that
-    concurrent advances cannot interleave a partial extension.
+    Terms are computed on demand and cached in order.
     """
 
     def __init__(self, name: str, q0, rule: Callable[[int], tuple]) -> None:
@@ -216,7 +214,6 @@ class _StreamCF(AlgebraicCF):
         self._name = name
         self._rule = rule
         self._cache: list[tuple] = []
-        self._lock = threading.Lock()
 
     @property
     def length(self) -> Optional[int]:
@@ -229,16 +226,15 @@ class _StreamCF(AlgebraicCF):
     def partial(self, k: int):
         if k < 1:
             raise ConvergentIndexError(f"partial index {k} out of range")
-        with self._lock:
-            while len(self._cache) < k:
-                i = len(self._cache) + 1
-                p, q = self._rule(i)
-                p = _as_poly_term(p)
-                q = _as_poly_term(q)
-                if p.is_zero:
-                    raise DomainError(f"term rule produced zero p_{i}")
-                self._cache.append((p, q))
-            return self._cache[k - 1]
+        while len(self._cache) < k:
+            i = len(self._cache) + 1
+            p, q = self._rule(i)
+            p = _as_poly_term(p)
+            q = _as_poly_term(q)
+            if p.is_zero:
+                raise DomainError(f"term rule produced zero p_{i}")
+            self._cache.append((p, q))
+        return self._cache[k - 1]
 
 
 def convergent(cf: ContinuedFraction, k: int) -> ConvergentPair:

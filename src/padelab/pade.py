@@ -19,12 +19,21 @@ Conventions used throughout:
 Singular systems cluster: inside a table they form square regions, and the
 fraction they repeat sits one step up-left of the square's corner. The
 table groups markers into those squares and reports them as blocks.
+
+Every determinant and linear solve here runs through one integer Bareiss
+kernel (Bareiss, Math. Comp. 22, 1968). Tables and Hankel grids read their
+determinants from a Hankel store that lives for one call: without
+pivoting, the pivots of one elimination of window (m, P) are the leading
+minors H_m^(1..P), so each offset is eliminated once instead of each
+window, and each table cell's four normality determinants are looked up
+rather than recomputed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm, prod
 from typing import Optional
 
 from .contfrac import AlgebraicCF, cf_from_convergents
@@ -39,32 +48,68 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra: fraction-free elimination with first-nonzero pivoting
+# Exact linear algebra: one integer Bareiss kernel
+#
+# Each row is scaled to integers by the lcm of its denominators, so the
+# elimination runs on Python ints and every Bareiss update is an exact
+# floor division, with no gcd per step. Pivot k of the elimination is the
+# leading (k+1)-minor of the scaled, row-permuted matrix (Sylvester's
+# identity, Bareiss 1968). exact_det divides the last pivot by the product
+# of the row scales; exact_solve back-substitutes in integers; the Hankel
+# store below runs the kernel without pivoting and reads every pivot as a
+# leading minor.
+
+
+def _integer_rows(matrix) -> tuple[list[list[int]], list[int]]:
+    """Rows scaled to integers by the lcm of their denominators, and the scales."""
+    rows, scales = [], []
+    for row in matrix:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def _bareiss(a: list[list[int]], pivoting: bool = True) -> tuple[int, list[int]]:
+    """Fraction-free elimination of the square part of integer rows, in place.
+
+    Returns the sign of the row permutation and the pivots; pivot k is the
+    leading (k+1)-minor of the permuted rows. Elimination stops after a zero
+    pivot, which is then the last one returned: with pivoting it means the
+    matrix is singular, without pivoting only that this leading minor is 0.
+    """
+    n = len(a)
+    sign, prev, pivots = 1, 1, []
+    for k in range(n):
+        if a[k][k] == 0 and pivoting:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+        pivot = a[k][k]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        top = a[k][k + 1 :]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], top)]
+        prev = pivot
+    return sign, pivots
 
 
 def exact_det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by Bareiss elimination; the empty matrix gives 1."""
+    """Determinant by integer Bareiss elimination; the empty matrix gives 1."""
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in matrix):
         raise InputError("determinant needs a square matrix")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    a, scales = _integer_rows(matrix)
+    sign, pivots = _bareiss(a)
+    return Fraction(sign * pivots[-1], prod(scales))
 
 
 def exact_solve(
@@ -74,30 +119,21 @@ def exact_solve(
     n = len(matrix)
     if n == 0:
         return []
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)
-    ]
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     if any(len(row) != n + 1 for row in aug):
         raise InputError("system needs a square matrix and matching rhs")
-    prev = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            return None
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[k][k] * aug[i][j] - aug[i][k] * aug[k][j]) / prev
-            aug[i][k] = Fraction(0)
-        prev = aug[k][k]
-    x = [Fraction(0)] * n
+    a, _ = _integer_rows(aug)
+    _, pivots = _bareiss(a)
+    det = pivots[-1]
+    if det == 0:
+        return None
+    # det * x is integral (Cramer), so back substitution stays in integers
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+        row = a[i]
+        acc = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return [Fraction(v, det) for v in y]
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +165,55 @@ def _padded_coefficient(series: PowerSeries, i: int) -> Fraction:
     return series.coefficient(i)
 
 
-def _hankel_det_padded(series: PowerSeries, m: int, p: int) -> Fraction:
-    """Hankel determinant allowing negative offsets via zero padding."""
-    if p == 0:
-        return Fraction(1)
+def _hankel_rows(series: PowerSeries, m: int, p: int) -> list[list[Fraction]]:
+    """The p x p window [s_{m+i+j}], zero-padded below index 0."""
     top = m + 2 * p - 2
     if top > series.order:
         raise InsufficientCoefficientsError(
             f"window (m={m}, p={p}) needs coefficient {top}, "
             f"series stops at {series.order}"
         )
-    return exact_det(
-        [[_padded_coefficient(series, m + i + j) for j in range(p)] for i in range(p)]
-    )
+    return [[_padded_coefficient(series, m + i + j) for j in range(p)] for i in range(p)]
+
+
+class _HankelStore:
+    """Hankel determinants of one series, each window computed once.
+
+    Without pivoting, pivot k of the Bareiss elimination of window (m, P)
+    is the leading minor H_m^(k+1) times the product of the first k+1 row
+    scales, so one elimination per offset m gives H_m^(1..P). A zero pivot
+    ends that sweep. Windows past it, and every zero-padded negative
+    offset, fall back to a direct determinant, memoized like the rest.
+    The store lives for one table or grid; p_max bounds the sweep size.
+    """
+
+    def __init__(self, series: PowerSeries, p_max: int) -> None:
+        self.series = series
+        self.p_max = p_max
+        self.dets: dict = {}
+        self.swept: set = set()
+
+    def det(self, m: int, p: int) -> Fraction:
+        if p == 0:
+            return Fraction(1)
+        if m >= 0 and m not in self.swept:
+            self._sweep(m)
+        value = self.dets.get((m, p))
+        if value is None:
+            value = self.dets[(m, p)] = exact_det(_hankel_rows(self.series, m, p))
+        return value
+
+    def _sweep(self, m: int) -> None:
+        self.swept.add(m)
+        size = min(self.p_max, (self.series.order - m) // 2 + 1)
+        if size < 1:
+            return
+        a, scales = _integer_rows(_hankel_rows(self.series, m, size))
+        _, pivots = _bareiss(a, pivoting=False)
+        scale = 1
+        for p, (pivot, row_scale) in enumerate(zip(pivots, scales), 1):
+            scale *= row_scale
+            self.dets[(m, p)] = Fraction(pivot, scale)
 
 
 def hankel_det(series: PowerSeries, m: int, p: int) -> Fraction:
@@ -157,14 +229,15 @@ def hankel_det(series: PowerSeries, m: int, p: int) -> Fraction:
             raise InputError(f"window offset must be a nonnegative integer, got {m!r}")
         return Fraction(1)
     HankelSpec(m, p).validate()
-    return _hankel_det_padded(series, m, p)
+    return exact_det(_hankel_rows(series, m, p))
 
 
 def hankel_grid(series: PowerSeries, m_max: int, p_max: int) -> list[list[Fraction]]:
     """Grid of determinants: row m in 0..m_max, column p in 1..p_max."""
     if m_max < 0 or p_max < 1:
         raise InputError("grid needs m_max >= 0 and p_max >= 1")
-    return [[hankel_det(series, m, p) for p in range(1, p_max + 1)] for m in range(m_max + 1)]
+    store = _HankelStore(series, p_max)
+    return [[store.det(m, p) for p in range(1, p_max + 1)] for m in range(m_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +323,14 @@ def order_of_contact(series: PowerSeries, rf: RationalFunction) -> Optional[int]
 def hadamard_polynomial(series: PowerSeries, m: int, p: int) -> Polynomial:
     """Monic degree-p polynomial attached to the Hankel window (m, p).
 
-    Coefficient i is the signed maximal minor of the (p+1) x p matrix
-    whose rows are (s_{m+r}, ..., s_{m+r+p-1}) for r = 0 .. p, divided by
-    the window determinant. Equivalently: border that matrix with the
-    column of powers 1, u, ..., u^p and expand along it. The construction
-    needs the window determinant to be nonzero; offsets may be negative,
-    with coefficients below index 0 read as zeros.
+    Its coefficients c_0 .. c_{p-1} (and c_p = 1) solve the Hankel system
+    sum_j c_j s_{m+r+j} = -s_{m+r+p} for r = 0 .. p-1, whose matrix is the
+    window itself. Equivalently: the polynomial is the (p+1) x p matrix of
+    rows (s_{m+r}, ..., s_{m+r+p-1}), r = 0 .. p, bordered with the column
+    of powers 1, u, ..., u^p, expanded along that column and divided by
+    the window determinant. The construction needs the window determinant
+    to be nonzero; offsets may be negative, with coefficients below index
+    0 read as zeros.
 
     Reversing the coefficients of the result for degree p gives the
     denominator of the approximant [m+p-1 / p] exactly, whenever that
@@ -273,18 +348,11 @@ def hadamard_polynomial(series: PowerSeries, m: int, p: int) -> Polynomial:
             f"window (m={m}, p={p}) needs coefficient {top}, "
             f"series stops at {series.order}"
         )
-    h = _hankel_det_padded(series, m, p)
-    if h == 0:
+    rhs = [-_padded_coefficient(series, m + r + p) for r in range(p)]
+    coeffs = exact_solve(_hankel_rows(series, m, p), rhs)
+    if coeffs is None:
         raise NonNormalWindowError(f"non-normal window (m={m}, p={p})")
-    rows = [
-        [_padded_coefficient(series, m + r + j) for j in range(p)] for r in range(p + 1)
-    ]
-    coeffs = []
-    for i in range(p + 1):
-        minor = exact_det(rows[:i] + rows[i + 1 :])
-        sign = -1 if (i + p) % 2 else 1
-        coeffs.append(sign * minor / h)
-    return Polynomial(coeffs)
+    return Polynomial(coeffs + [Fraction(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +393,12 @@ class PadeTable:
             raise InputError(f"entry ({L}, {M}) outside table") from None
 
 
-def _normality_flag(series: PowerSeries, L: int, M: int) -> Optional[bool]:
+def _normality_flag(store: _HankelStore, L: int, M: int) -> Optional[bool]:
     """All four governing determinants nonzero; None when out of reach."""
-    if series.order < L + M + 1:
+    if store.series.order < L + M + 1:
         return None
     windows = ((L - M + 1, M), (L - M + 2, M), (L - M, M + 1), (L - M + 1, M + 1))
-    return all(_hankel_det_padded(series, m, p) != 0 for m, p in windows)
+    return all(store.det(m, p) != 0 for m, p in windows)
 
 
 def pade_table(series: PowerSeries, Lmax: int, Mmax: int) -> PadeTable:
@@ -342,11 +410,12 @@ def pade_table(series: PowerSeries, Lmax: int, Mmax: int) -> PadeTable:
             f"table to ({Lmax}, {Mmax}) needs coefficients through {Lmax + Mmax}, "
             f"series stops at {series.order}"
         )
+    store = _HankelStore(series, Mmax + 1)
     entries = {}
     for L in range(Lmax + 1):
         for M in range(Mmax + 1):
             entry = pade_approximant(series, L, M)
-            entries[(L, M)] = replace(entry, normal=_normality_flag(series, L, M))
+            entries[(L, M)] = replace(entry, normal=_normality_flag(store, L, M))
 
     blocks: list[Block] = []
     block_of: dict = {}

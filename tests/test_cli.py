@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from padelab import cli, errors
 from padelab.cli import main
 
 TWO_POLE = '{"kind": "rational", "num": ["1", "2"], "den": ["1", "-5", "6"]}'
@@ -307,6 +308,21 @@ class TestHarness:
                              "--L", "0", "--M", "2")
         assert code == 0
         assert doc["den"] == ["1", "0", "-1"]
+
+    @pytest.mark.parametrize("exc, code", [
+        (errors.SchemaError("bad", "$.x"), 2),
+        (errors.InputError("bad"), 2),
+        (errors.NonNormalWindowError("bad"), 1),
+        (errors.DomainError("bad"), 1),
+        (errors.PadelabError("bad"), 1),
+    ])
+    def test_error_family_sets_exit_code(self, capsys, monkeypatch, exc, code):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "pade", handler)
+        assert main(["pade"]) == code
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
     def test_entry_point_wiring(self):
         from padelab import cli

@@ -1,0 +1,160 @@
+"""Exact kernel against independent oracles, and the Hankel store against
+direct determinants.
+
+exact_det is checked against sympy's determinant over QQ, exact_solve by
+its residuals, and every determinant that tables and grids read from the
+Hankel store against a determinant computed directly for that window.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from padelab import (
+    Polynomial,
+    PowerSeries,
+    RationalFunction,
+    builtin_series,
+    exact_det,
+    exact_solve,
+    hadamard_polynomial,
+    hankel_grid,
+    pade_table,
+    series_of_rational_function,
+)
+from padelab.errors import InputError, NonNormalWindowError
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+settings = hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+
+rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6)) | st.just(F(0))
+
+
+@st.composite
+def square_matrices(draw):
+    """Random rational matrices, some made singular, some with a zero pivot.
+
+    A singular matrix gets its last row replaced by a combination of the
+    others; a zero-pivot matrix gets a zero top-left entry, so elimination
+    must swap rows before its first step.
+    """
+    n = draw(st.integers(1, 6))
+    a = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "singular", "zero_pivot")))
+    if shape == "singular":
+        weights = [draw(rationals) for _ in range(n - 1)]
+        a[-1] = [sum((w * a[i][j] for i, w in enumerate(weights)), F(0)) for j in range(n)]
+    elif shape == "zero_pivot":
+        a[0][0] = F(0)
+    return a
+
+
+def sympy_det(a):
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
+    d = m.det()
+    return F(int(d.p), int(d.q))
+
+
+def padded_window(series, m, p):
+    """The p x p Hankel window at offset m, zeros below index 0."""
+    return [
+        [series.coefficient(m + i + j) if m + i + j >= 0 else F(0) for j in range(p)]
+        for i in range(p)
+    ]
+
+
+def even_series(order):
+    """1/(1-z^2): every odd coefficient is zero, so many windows are singular."""
+    rf = RationalFunction(Polynomial((1,)), Polynomial((1, 0, -1)))
+    return series_of_rational_function(rf, order)
+
+
+def exp_plus_pole(order):
+    """exp(z) + 1/(1 - 2z/3)."""
+    rf = RationalFunction(Polynomial((1,)), Polynomial((1, F(-2, 3))))
+    return builtin_series("exp", order) + series_of_rational_function(rf, order)
+
+
+class TestDeterminant:
+    @settings
+    @hypothesis.given(square_matrices())
+    def test_matches_sympy(self, a):
+        assert exact_det(a) == sympy_det(a)
+
+    def test_ragged_matrix_rejected(self):
+        with pytest.raises(InputError):
+            exact_det([[1, 2], [3]])
+
+
+class TestSolve:
+    @settings
+    @hypothesis.given(square_matrices(), st.data())
+    def test_residuals_vanish_or_singular(self, a, data):
+        n = len(a)
+        b = [data.draw(rationals) for _ in range(n)]
+        x = exact_solve(a, b)
+        if exact_det(a) == 0:
+            assert x is None
+        else:
+            assert x is not None
+            assert all(sum(a[i][j] * x[j] for j in range(n)) == b[i] for i in range(n))
+
+
+class TestHankelStore:
+    @pytest.mark.parametrize("series", [exp_plus_pole(22), even_series(22)],
+                             ids=["exp+pole", "even"])
+    def test_grid_matches_direct_determinants(self, series):
+        grid = hankel_grid(series, 10, 7)
+        for m, row in enumerate(grid):
+            for p, value in enumerate(row, 1):
+                assert value == exact_det(padded_window(series, m, p)), (m, p)
+
+    def test_fallback_past_zero_pivot(self):
+        # s_1 = 0 ends the sweep at offset 1 on its first pivot, yet the
+        # window (1, 2) = [[0, 1], [1, 0]] is nonsingular
+        grid = hankel_grid(even_series(10), 3, 3)
+        assert grid[1][0] == 0
+        assert grid[1][1] == -1
+        assert grid[0] == [1, 1, 0]
+
+    @pytest.mark.parametrize("series, size", [(even_series(21), 10),
+                                              (builtin_series("exp", 17), 8)],
+                             ids=["even-10x10", "exp-8x8"])
+    def test_table_flags_match_four_determinants(self, series, size):
+        table = pade_table(series, size, size)
+        for (L, M), entry in table.entries.items():
+            if series.order < L + M + 1:
+                assert entry.normal is None
+                continue
+            windows = ((L - M + 1, M), (L - M + 2, M), (L - M, M + 1), (L - M + 1, M + 1))
+            expected = all(exact_det(padded_window(series, m, p)) != 0 for m, p in windows)
+            assert entry.normal is expected, (L, M)
+
+
+class TestHadamard:
+    @settings
+    @hypothesis.given(
+        st.lists(rationals, min_size=10, max_size=10),
+        st.integers(-3, 3),
+        st.integers(1, 4),
+    )
+    def test_matches_bordered_minors(self, coeffs, m, p):
+        """One Hankel solve gives the bordered-determinant polynomial."""
+        series = PowerSeries(coeffs)
+        hypothesis.assume(m + 2 * p - 1 <= series.order)
+        rows = [
+            [series.coefficient(m + r + j) if m + r + j >= 0 else F(0) for j in range(p)]
+            for r in range(p + 1)
+        ]
+        h = sympy_det(rows[:p])
+        if h == 0:
+            with pytest.raises(NonNormalWindowError):
+                hadamard_polynomial(series, m, p)
+            return
+        expected = [
+            (-1) ** (i + p) * sympy_det(rows[:i] + rows[i + 1:]) / h for i in range(p + 1)
+        ]
+        assert hadamard_polynomial(series, m, p) == Polynomial(expected)
