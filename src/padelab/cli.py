@@ -31,7 +31,7 @@ from .contfrac import (
     parse_cf_document,
     sqrt_cf,
 )
-from .core.floats import set_precision
+from .core.floats import get_precision, set_precision
 from .core.poly import Polynomial
 from .core.scalars import format_rational, parse_rational
 from .core.series import (
@@ -42,6 +42,8 @@ from .core.series import (
 )
 from .errors import DomainError, InputError, PadelabError
 from .montessus import (
+    DEFAULT_EXCLUSION_FACTOR,
+    GridSpec,
     parse_experiment_document,
     report_to_csv_rows,
     report_to_document,
@@ -202,81 +204,125 @@ _SERIES_SCHEMA = {
     "shorthand": "exp | geometric[:ratio] | @file.json",
 }
 
-_SCHEMAS = {
-    "pade": {
-        "subcommand": "pade",
-        "options": {"series": _SERIES_SCHEMA, "L": "int >= 0", "M": "int >= 0"},
-        "output": "entry document {L, M, num, den} or {L, M, block}; block exits 1",
-    },
-    "table": {
-        "subcommand": "table",
-        "options": {"series": _SERIES_SCHEMA, "L-max": "int >= 0", "M-max": "int >= 0"},
-        "output": "table document keyed 'L,M' with normality flags and block squares",
-    },
-    "hankel": {
-        "subcommand": "hankel",
-        "options": {
-            "series": _SERIES_SCHEMA,
-            "m": "int >= 0 (single value mode)",
-            "p": "int >= 0 (single value mode)",
-            "m-max": "int >= 0 (grid mode)",
-            "p-max": "int >= 1 (grid mode)",
-        },
-        "output": "single {m, p, value} or grid rows m = 0..m_max, columns p = 1..p_max",
-    },
-    "cf": {
-        "subcommand": "cf",
-        "options": {
-            "euclid": "rational literal",
-            "sqrt": "nonnegative int (with --terms)",
-            "builtin": "tan | exp (with --terms for the document)",
-            "input": "continued fraction document or @file",
-            "from-convergents": "JSON array of [A, B] pairs (rationals or coeff arrays)",
-            "terms": "int >= 1",
-            "convergent": "int k >= 0: emit pair (A_k, B_k) and the reduced value",
-            "eval": "complex point 're' or 're,im' (with --k, optional --method)",
-            "k": "truncation level for --eval",
-            "method": "backward | forward",
-        },
-        "output": "fraction document {q0, terms|partials}, convergent pair, or value",
-    },
-    "row-cf": {
-        "subcommand": "row-cf",
-        "options": {
-            "series": _SERIES_SCHEMA,
-            "p": "int >= 0",
-            "n-min": "int >= 0",
-            "n-max": "int >= n_min",
-        },
-        "output": "algebraic fraction document whose convergents are the row entries",
-    },
-    "montessus": {
-        "subcommand": "montessus",
-        "options": {
-            "config": {
+_GRID_SCHEMA = {
+    "radius": "number > 0 (required)",
+    "rim_points": f"int >= 1 (default {GridSpec.rim_points})",
+    "interior_circles": f"int >= 0 (default {GridSpec.interior_circles})",
+    "points_per_circle": f"int >= 1 (default {GridSpec.points_per_circle})",
+    "exclusion_radius": f"number >= 0 (default {DEFAULT_EXCLUSION_FACTOR} * radius)",
+}
+
+_INT = {"type": int}
+
+# subcommand -> (help line, output description, options). Each option is
+# (flag, schema description, argparse keywords); argparse derives the dest
+# from the flag, so --L-max arrives as args.L_max. The parser and the
+# --emit-schema documents are both built from this table.
+_COMMANDS = {
+    "pade": (
+        "one approximant [L/M] of a series",
+        "entry document {L, M, num, den} or {L, M, block}; block exits 1",
+        (
+            ("series", _SERIES_SCHEMA,
+             {"help": "series document, 'exp', 'geometric[:r]', or @file"}),
+            ("L", "int >= 0", _INT),
+            ("M", "int >= 0", _INT),
+        ),
+    ),
+    "table": (
+        "rectangular table with blocks and normality",
+        "table document keyed 'L,M' with normality flags and block squares",
+        (
+            ("series", _SERIES_SCHEMA, {}),
+            ("L-max", "int >= 0", _INT),
+            ("M-max", "int >= 0", _INT),
+        ),
+    ),
+    "hankel": (
+        "Hankel determinant or determinant grid",
+        "single {m, p, value} or grid rows m = 0..m_max, columns p = 1..p_max",
+        (
+            ("series", _SERIES_SCHEMA, {}),
+            ("m", "int >= 0 (single value mode)", _INT),
+            ("p", "int >= 0 (single value mode)", _INT),
+            ("m-max", "int >= 0 (grid mode)", _INT),
+            ("p-max", "int >= 1 (grid mode)", _INT),
+        ),
+    ),
+    "cf": (
+        "continued fractions: build, invert, evaluate",
+        "fraction document {q0, terms|partials}, convergent pair, or value",
+        (
+            ("euclid", "rational literal", {"metavar": "RATIONAL"}),
+            ("sqrt", "nonnegative int (with --terms)", {"type": int, "metavar": "N"}),
+            ("builtin", "tan | exp (with --terms for the document)",
+             {"choices": ("tan", "exp")}),
+            ("input", "continued fraction document or @file", {"metavar": "DOC"}),
+            ("from-convergents", "JSON array of [A, B] pairs (rationals or coeff arrays)",
+             {"metavar": "PAIRS"}),
+            ("terms", "int >= 1", _INT),
+            ("convergent", "int k >= 0: emit pair (A_k, B_k) and the reduced value",
+             {"type": int, "metavar": "K"}),
+            ("eval", "complex point 're' or 're,im' (with --k, optional --method)",
+             {"metavar": "POINT"}),
+            ("k", "truncation level for --eval", _INT),
+            ("method", "backward | forward",
+             {"choices": ("backward", "forward"), "default": "backward"}),
+        ),
+    ),
+    "row-cf": (
+        "continued fraction generating a table row",
+        "algebraic fraction document whose convergents are the row entries",
+        (
+            ("series", _SERIES_SCHEMA, {}),
+            ("p", "int >= 0", _INT),
+            ("n-min", "int >= 0", _INT),
+            ("n-max", "int >= n_min", _INT),
+        ),
+    ),
+    "montessus": (
+        "row convergence experiment",
+        "convergence report (JSON) or rows n, root_re, root_im, matched_pole, distance, "
+        "sup_error, flag (CSV)",
+        (
+            ("config", {
                 "function": _SERIES_SCHEMA,
                 "p": "int >= 0",
                 "n_min": "int >= 0",
                 "n_max": "int >= n_min",
-                "grid": {
-                    "radius": "number > 0 (required)",
-                    "rim_points": "int >= 1 (default 64)",
-                    "interior_circles": "int >= 0 (default 2)",
-                    "points_per_circle": "int >= 1 (default 16)",
-                    "exclusion_radius": "number >= 0 (default 0.05 * radius)",
-                },
+                "grid": _GRID_SCHEMA,
                 "precision": "int >= 8 (bits, optional)",
                 "declared_poles": [{"re": "number", "im": "number", "multiplicity": "int >= 1"}],
-            }
-        },
-        "output": "convergence report (JSON) or rows n, root_re, root_im, matched_pole, distance, sup_error, flag (CSV)",
-    },
-    "moments": {
-        "subcommand": "moments",
-        "options": {"moments": "comma separated rational literals, or JSON array"},
-        "output": "{coeffs, variable: '1/z'} with signs alternating",
-    },
+            }, {"metavar": "DOC", "help": "experiment document or @file"}),
+        ),
+    ),
+    "moments": (
+        "alternating series from a moment list",
+        "{coeffs, variable: '1/z'} with signs alternating",
+        (("moments", "comma separated rational literals, or JSON array", {"metavar": "LIST"}),),
+    ),
 }
+
+# Options every subcommand takes; they are not part of its schema.
+_COMMON_OPTIONS = (
+    ("format", {"choices": ("json", "csv"), "default": "json",
+                "help": "output format (default json)"}),
+    ("precision", {"type": int, "metavar": "BITS",
+                   "help": "working precision for floating diagnostics"}),
+    ("seed", {"type": int,
+              "help": "seed for randomized utilities (current subcommands are deterministic)"}),
+    ("emit-schema", {"action": "store_true",
+                     "help": "print this subcommand's input schema and exit"}),
+)
+
+
+def _schema(command: str) -> dict:
+    _, output, options = _COMMANDS[command]
+    return {
+        "subcommand": command,
+        "options": {flag: description for flag, description, _ in options},
+        "output": output,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +339,7 @@ def _cmd_pade(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _require(args, ["series", "L_max", "M_max"])
+    _require(args, ["series", "L-max", "M-max"])
     source = _series_arg(args.series)
     lm = args.L_max + args.M_max
     series = _series_for(source, lm + 1, lm)
@@ -350,7 +396,7 @@ def _cmd_hankel(args) -> int:
         value = hankel_det(series, args.m, args.p)
         _emit({"m": args.m, "p": args.p, "value": format_rational(value)}, args.format)
         return 0
-    _require(args, ["m_max", "p_max"])
+    _require(args, ["m-max", "p-max"])
     top = args.m_max + 2 * args.p_max - 2
     series = _series_for(source, max(top, 0), max(top, 0))
     grid = hankel_grid(series, args.m_max, args.p_max)
@@ -472,7 +518,7 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_row_cf(args) -> int:
-    _require(args, ["series", "p", "n_min", "n_max"])
+    _require(args, ["series", "p", "n-min", "n-max"])
     source = _series_arg(args.series)
     need = args.n_max + args.p
     series = _series_for(source, need, need)
@@ -532,84 +578,33 @@ _HANDLERS = {
 # Parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json",
-                     help="output format (default json)")
-    sub.add_argument("--precision", type=int, default=None, metavar="BITS",
-                     help="working precision for floating diagnostics")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized utilities (current subcommands are deterministic)")
-    sub.add_argument("--emit-schema", action="store_true",
-                     help="print this subcommand's input schema and exit")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padelab",
         description="Exact Pade tables, continued fractions, and pole convergence runs.",
     )
     subs = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    p = subs.add_parser("pade", help="one approximant [L/M] of a series")
-    p.add_argument("--series", help="series document, 'exp', 'geometric[:r]', or @file")
-    p.add_argument("--L", type=int, dest="L")
-    p.add_argument("--M", type=int, dest="M")
-    _add_common(p)
-
-    p = subs.add_parser("table", help="rectangular table with blocks and normality")
-    p.add_argument("--series")
-    p.add_argument("--L-max", type=int, dest="L_max")
-    p.add_argument("--M-max", type=int, dest="M_max")
-    _add_common(p)
-
-    p = subs.add_parser("hankel", help="Hankel determinant or determinant grid")
-    p.add_argument("--series")
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--m-max", type=int, dest="m_max")
-    p.add_argument("--p-max", type=int, dest="p_max")
-    _add_common(p)
-
-    p = subs.add_parser("cf", help="continued fractions: build, invert, evaluate")
-    p.add_argument("--euclid", metavar="RATIONAL")
-    p.add_argument("--sqrt", type=int, metavar="N")
-    p.add_argument("--builtin", choices=("tan", "exp"))
-    p.add_argument("--input", metavar="DOC")
-    p.add_argument("--from-convergents", dest="from_convergents", metavar="PAIRS")
-    p.add_argument("--terms", type=int)
-    p.add_argument("--convergent", type=int, metavar="K")
-    p.add_argument("--eval", metavar="POINT")
-    p.add_argument("--k", type=int)
-    p.add_argument("--method", choices=("backward", "forward"), default="backward")
-    _add_common(p)
-
-    p = subs.add_parser("row-cf", help="continued fraction generating a table row")
-    p.add_argument("--series")
-    p.add_argument("--p", type=int)
-    p.add_argument("--n-min", type=int, dest="n_min")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    _add_common(p)
-
-    p = subs.add_parser("montessus", help="row convergence experiment")
-    p.add_argument("--config", metavar="DOC", help="experiment document or @file")
-    _add_common(p)
-
-    p = subs.add_parser("moments", help="alternating series from a moment list")
-    p.add_argument("--moments", metavar="LIST")
-    _add_common(p)
-
+    for command, (help_line, _, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_line)
+        for flag, _, keywords in options:
+            sub.add_argument("--" + flag, **keywords)
+        for flag, keywords in _COMMON_OPTIONS:
+            sub.add_argument("--" + flag, **keywords)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command is None:
-        parser.print_help()
+        _PARSER.print_help()
         return 2
+    saved_precision = get_precision()
     try:
         if args.emit_schema:
-            sys.stdout.write(dump_json(_SCHEMAS[args.command]) + "\n")
+            sys.stdout.write(dump_json(_schema(args.command)) + "\n")
             return 0
         if args.precision is not None:
             set_precision(args.precision)
@@ -620,6 +615,8 @@ def main(argv=None) -> int:
     except PadelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_precision(saved_precision)
 
 
 if __name__ == "__main__":

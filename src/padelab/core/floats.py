@@ -90,17 +90,16 @@ def coefficient_scale(poly) -> mpmath.mpf:
     return scale
 
 
-def eval_rf_complex(rf, z, near_pole_eps: float | None = None) -> mpmath.mpc:
+def eval_rf_complex(rf, z) -> mpmath.mpc:
     """Evaluate a rational function at a complex point with a pole guard.
 
     The division is refused with NearPoleError when |den(z)| falls below
-    epsilon times the largest denominator coefficient magnitude. The error
-    carries the offending magnitude.
+    NEAR_POLE_EPS_REL times the largest denominator coefficient magnitude.
+    The error carries the offending magnitude.
     """
     z = to_mpc(z)
-    eps_rel = NEAR_POLE_EPS_REL if near_pole_eps is None else near_pole_eps
     den_val = eval_poly(rf.den, z)
-    threshold = to_mpf(eps_rel) * coefficient_scale(rf.den)
+    threshold = to_mpf(NEAR_POLE_EPS_REL) * coefficient_scale(rf.den)
     if abs(den_val) <= threshold:
         raise NearPoleError(
             f"denominator magnitude {mpmath.nstr(abs(den_val), 6)} below "
@@ -113,19 +112,18 @@ def eval_rf_complex(rf, z, near_pole_eps: float | None = None) -> mpmath.mpc:
     return value
 
 
-def find_poly_roots(poly, residual_rel: float | None = None) -> list[mpmath.mpc]:
+def find_poly_roots(poly) -> list[mpmath.mpc]:
     """All complex roots of an exact polynomial, deterministically ordered.
 
     Uses simultaneous iteration on the full root set, then checks every
-    root against the residual contract |poly(root)| <= residual_rel times
-    the largest coefficient magnitude. Roots are sorted by real part, then
-    imaginary part.
+    root against the residual contract |poly(root)| <= ROOT_RESIDUAL_REL
+    times the largest coefficient magnitude. Roots are sorted by real part,
+    then imaginary part.
     """
     if poly.is_zero:
         raise InputError("the zero polynomial has no root set")
     if poly.degree == 0:
         return []
-    rel = ROOT_RESIDUAL_REL if residual_rel is None else residual_rel
     coeffs_desc = [to_mpf(c) for c in reversed(poly.coeffs)]
     try:
         roots = mpmath.polyroots(coeffs_desc, maxsteps=120, extraprec=80)
@@ -136,7 +134,7 @@ def find_poly_roots(poly, residual_rel: float | None = None) -> list[mpmath.mpc]
             raise RootFindingError(f"root iteration did not converge: {exc}") from exc
     roots = [to_mpc(r) for r in roots]
     scale = coefficient_scale(poly)
-    bound = to_mpf(rel) * scale
+    bound = to_mpf(ROOT_RESIDUAL_REL) * scale
     for r in roots:
         res = abs(eval_poly(poly, r))
         if not res <= bound:

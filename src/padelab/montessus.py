@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Optional
 
 import mpmath
@@ -43,6 +42,7 @@ from .core.series import (
     RationalSource,
     SeriesSource,
     SumSource,
+    builtin_series,
     parse_series_document,
     series_of_rational_function,
 )
@@ -119,7 +119,6 @@ class MeromorphicSpec:
         base = rational if rational is not None else RationalFunction(0)
         if entire_poly is not None:
             base = base + entire_poly
-        self._rational = base
         self._reduced = base.reduced()
         if self._reduced.den.coefficient(0) == 0:
             raise OriginPoleError("function has a pole at the origin")
@@ -134,11 +133,7 @@ class MeromorphicSpec:
 
     @property
     def rational(self) -> RationalFunction:
-        """The full rational part (polynomial summands already folded in)."""
-        return self._rational
-
-    @property
-    def reduced(self) -> RationalFunction:
+        """The rational part, reduced, with polynomial summands folded in."""
         return self._reduced
 
     @property
@@ -210,16 +205,16 @@ class MeromorphicSpec:
         return self._poles
 
     def taylor(self, order: int) -> PowerSeries:
-        coeffs = list(series_of_rational_function(self._rational, order).coeffs)
+        series = series_of_rational_function(self._reduced, order)
         if self.exp_count:
-            for i in range(order + 1):
-                coeffs[i] += Fraction(self.exp_count, factorial(i))
-        return PowerSeries(coeffs)
+            exp = builtin_series("exp", order).coeffs
+            series = PowerSeries(c + self.exp_count * e for c, e in zip(series.coeffs, exp))
+        return series
 
     def evaluate(self, z) -> mpmath.mpc:
         """Floating value at a complex point away from the poles."""
         z = to_mpc(z)
-        value = eval_rf_complex(self._rational, z)
+        value = eval_rf_complex(self._reduced, z)
         if self.exp_count:
             value = value + self.exp_count * mpmath.exp(z)
         return value
@@ -725,26 +720,15 @@ def parse_experiment_document(doc, path: str = "$") -> ExperimentConfig:
     grid_doc = doc.get("grid")
     if not isinstance(grid_doc, dict) or "radius" not in grid_doc:
         raise SchemaError("grid with a radius is required", f"{path}.grid")
-    radius = _number(grid_doc["radius"], f"{path}.grid.radius")
-    grid = GridSpec(
-        radius=radius,
-        rim_points=(
-            _require_int(grid_doc, "rim_points", f"{path}.grid", 1)
-            if "rim_points" in grid_doc else 64
-        ),
-        interior_circles=(
-            _require_int(grid_doc, "interior_circles", f"{path}.grid", 0)
-            if "interior_circles" in grid_doc else 2
-        ),
-        points_per_circle=(
-            _require_int(grid_doc, "points_per_circle", f"{path}.grid", 1)
-            if "points_per_circle" in grid_doc else 16
-        ),
-        exclusion_radius=(
-            _number(grid_doc["exclusion_radius"], f"{path}.grid.exclusion_radius")
-            if "exclusion_radius" in grid_doc else None
-        ),
-    )
+    fields = {"radius": _number(grid_doc["radius"], f"{path}.grid.radius")}
+    for name, minimum in (("rim_points", 1), ("interior_circles", 0), ("points_per_circle", 1)):
+        if name in grid_doc:
+            fields[name] = _require_int(grid_doc, name, f"{path}.grid", minimum)
+    if "exclusion_radius" in grid_doc:
+        fields["exclusion_radius"] = _number(
+            grid_doc["exclusion_radius"], f"{path}.grid.exclusion_radius"
+        )
+    grid = GridSpec(**fields)
     try:
         grid.validate()
     except InputError as exc:

@@ -7,6 +7,7 @@ import pytest
 
 from padelab import cli, errors
 from padelab.cli import main
+from padelab.core.floats import DEFAULT_PRECISION, get_precision
 
 TWO_POLE = '{"kind": "rational", "num": ["1", "2"], "den": ["1", "-5", "6"]}'
 EVEN_PAIR = '{"kind": "rational", "num": ["1"], "den": ["1", "0", "-1"]}'
@@ -323,6 +324,25 @@ class TestHarness:
         monkeypatch.setitem(cli._HANDLERS, "pade", handler)
         assert main(["pade"]) == code
         assert capsys.readouterr().err == f"error: {exc}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "--series", "exp"], "--L-max, --M-max"),
+        (["row-cf", "--series", "exp", "--p", "1"], "--n-min, --n-max"),
+        (["hankel", "--series", "exp", "--m-max", "2"], "--p-max"),
+    ], ids=["table", "row-cf", "hankel"])
+    def test_missing_option_names_the_flag(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: missing required option(s): {message}\n"
+
+    def test_precision_restored_after_call(self, capsys):
+        config = json.loads(TestMontessus.CONFIG)
+        config["precision"] = 113
+        assert main(["montessus", "--config", json.dumps(config)]) == 0
+        assert get_precision() == DEFAULT_PRECISION
+        assert main(["pade", "--series", "exp", "--L", "1", "--M", "1",
+                     "--precision", "90"]) == 0
+        assert get_precision() == DEFAULT_PRECISION
+        capsys.readouterr()
 
     def test_entry_point_wiring(self):
         from padelab import cli

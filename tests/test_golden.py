@@ -1,10 +1,14 @@
-"""Byte identity of table and Hankel output against pinned golden files.
+"""Byte identity of CLI output against pinned golden files.
 
-The files under tests/golden hold the stdout of these commands as produced
+The table and Hankel files hold the stdout of these commands as produced
 by the Fraction-valued Bareiss implementation that preceded the integer
 kernel and the Hankel store; the exact outputs must not move by a byte.
+The schema and help files hold the descriptive output of every subcommand
+as produced by the parser that declared each option twice (once for
+argparse, once for --emit-schema); declaring it once must not move it.
 """
 
+import argparse
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from padelab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 EVEN_PAIR = '{"kind":"rational","num":["1"],"den":["1","0","-1"]}'
+COMMANDS = ["pade", "table", "hankel", "cf", "row-cf", "montessus", "moments"]
 
 CASES = {
     "table_exp_8x8.json": ["table", "--series", "exp", "--L-max", "8", "--M-max", "8"],
@@ -20,6 +25,10 @@ CASES = {
     # 1/(1-z^2): most of the table is block markers
     "table_even_6x6.json": ["table", "--series", EVEN_PAIR, "--L-max", "6", "--M-max", "6"],
 }
+CASES.update({f"schema_{cmd}.json": [cmd, "--emit-schema"] for cmd in COMMANDS})
+
+HELP = {"help.txt": ["--help"]}
+HELP.update({f"help_{cmd}.txt": [cmd, "--help"] for cmd in COMMANDS})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -28,3 +37,22 @@ def test_stdout_bytes_unchanged(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_bytes_unchanged(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(HELP[name])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("main() constructed an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert main(["pade", "--series", "exp", "--L", "1", "--M", "1"]) == 0
+    assert main(["cf", "--emit-schema"]) == 0
+    capsys.readouterr()

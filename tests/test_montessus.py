@@ -260,6 +260,20 @@ class TestExperiment:
                 assert record.unmatched_slots == (0,)
                 assert record.roots == ()
 
+    def test_removable_singularity_skips_no_grid_point(self):
+        # exp + (1-2z)/(1-2z): the rational part reduces to 1, so z = 0.5 on
+        # the rim is an ordinary point and must be measured at every n
+        doc = {"kind": "sum", "parts": [
+            {"kind": "builtin", "name": "exp"},
+            {"kind": "rational", "num": ["1", "-2"], "den": ["1", "-2"]},
+        ]}
+        spec = spec_of(doc)
+        assert spec.poles() == ()
+        report = run_row_experiment(spec, 0, 2, 6, GridSpec(radius=0.5))
+        for record in report.records:
+            assert record.skipped_points == 0
+            assert record.sup_error is not None
+
     def test_radius_must_sit_inside_excluded_pole(self):
         spec = spec_of(EXP_PLUS_GEOMETRIC)
         with pytest.raises(InputError):
