@@ -405,9 +405,11 @@ def _cmd_hankel(args) -> int:
         "p_max": args.p_max,
         "rows": [[format_rational(v) for v in row] for row in grid],
     }
-    rows = [["m\\p"] + list(range(1, args.p_max + 1))]
-    for m, row in enumerate(grid):
-        rows.append([m] + [format_rational(v) for v in row])
+    rows = None
+    if args.format == "csv":
+        rows = [["m\\p"] + list(range(1, args.p_max + 1))]
+        for m, cells in enumerate(doc["rows"]):
+            rows.append([m] + cells)
     _emit(doc, args.format, rows)
     return 0
 
@@ -541,7 +543,8 @@ def _cmd_montessus(args) -> int:
     report = run_row_experiment(
         config.spec, config.p, config.n_min, config.n_max, config.grid
     )
-    _emit(report_to_document(report), args.format, report_to_csv_rows(report))
+    rows = report_to_csv_rows(report) if args.format == "csv" else None
+    _emit(report_to_document(report), args.format, rows)
     return 0
 
 

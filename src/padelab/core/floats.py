@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul, round_nearest
 
 from ..errors import InputError, NearPoleError, NonFiniteError, RootFindingError
 
@@ -90,26 +91,69 @@ def coefficient_scale(poly) -> mpmath.mpf:
     return scale
 
 
-def eval_rf_complex(rf, z) -> mpmath.mpc:
-    """Evaluate a rational function at a complex point with a pole guard.
+def prepare_rf(rf) -> tuple:
+    """Convert a rational function once for evaluation at many points.
 
-    The division is refused with NearPoleError when |den(z)| falls below
-    NEAR_POLE_EPS_REL times the largest denominator coefficient magnitude.
-    The error carries the offending magnitude.
+    Returns (num, den, threshold): the raw mpf values (mpmath.libmp tuples)
+    of the numerator and denominator coefficients, highest degree first,
+    and the near-pole threshold, NEAR_POLE_EPS_REL times the largest
+    denominator coefficient magnitude. All three hold at the working
+    precision of the call; prepare again after changing it.
     """
+    num = []
+    for c in reversed(rf.num.coeffs):
+        num.append(to_mpf(c)._mpf_)
+    den = []
+    for c in reversed(rf.den.coeffs):
+        den.append(to_mpf(c)._mpf_)
+    return num, den, to_mpf(NEAR_POLE_EPS_REL) * coefficient_scale(rf.den)
+
+
+def eval_prepared_rf(prepared, z) -> mpmath.mpc:
+    """Evaluate a prepare_rf result at a complex point with a pole guard.
+
+    Denominator and numerator are evaluated by Horner's rule on the raw
+    values, each step rounded to nearest at the working precision, exactly
+    as mpc arithmetic (and eval_poly) rounds it. The division is refused
+    with NearPoleError when |den(z)| is at or below the prepared threshold;
+    the error carries the offending magnitude. NonFiniteError is raised for
+    a non-finite denominator (checked before the guard), numerator or
+    quotient.
+    """
+    num, den, threshold = prepared
     z = to_mpc(z)
-    den_val = eval_poly(rf.den, z)
-    threshold = to_mpf(NEAR_POLE_EPS_REL) * coefficient_scale(rf.den)
+    prec = mp.prec
+    w = z._mpc_
+    acc = (fzero, fzero)
+    for c in den:
+        acc = mpc_add_mpf(mpc_mul(acc, w, prec, round_nearest), c, prec, round_nearest)
+    den_val = mp.make_mpc(acc)
+    if not mpmath.isfinite(den_val):
+        raise NonFiniteError("polynomial evaluation produced a non-finite value")
     if abs(den_val) <= threshold:
         raise NearPoleError(
             f"denominator magnitude {mpmath.nstr(abs(den_val), 6)} below "
             f"near-pole threshold at z = {mpmath.nstr(z, 8)}",
             magnitude=float(abs(den_val)),
         )
-    value = eval_poly(rf.num, z) / den_val
+    acc = (fzero, fzero)
+    for c in num:
+        acc = mpc_add_mpf(mpc_mul(acc, w, prec, round_nearest), c, prec, round_nearest)
+    num_val = mp.make_mpc(acc)
+    if not mpmath.isfinite(num_val):
+        raise NonFiniteError("polynomial evaluation produced a non-finite value")
+    value = num_val / den_val
     if not mpmath.isfinite(value):
         raise NonFiniteError("rational evaluation produced a non-finite value")
     return value
+
+
+def eval_rf_complex(rf, z) -> mpmath.mpc:
+    """Evaluate a rational function at a complex point with a pole guard.
+
+    The one-point form of prepare_rf followed by eval_prepared_rf.
+    """
+    return eval_prepared_rf(prepare_rf(rf), z)
 
 
 def find_poly_roots(poly) -> list[mpmath.mpc]:

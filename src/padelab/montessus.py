@@ -28,9 +28,11 @@ import mpmath
 from .core.floats import (
     coefficient_scale,
     eval_poly,
+    eval_prepared_rf,
     eval_rf_complex,
     find_poly_roots,
     get_precision,
+    prepare_rf,
     to_mpc,
     to_mpf,
 )
@@ -211,10 +213,17 @@ class MeromorphicSpec:
             series = PowerSeries(c + self.exp_count * e for c, e in zip(series.coeffs, exp))
         return series
 
-    def evaluate(self, z) -> mpmath.mpc:
-        """Floating value at a complex point away from the poles."""
+    def evaluate(self, z, prepared=None) -> mpmath.mpc:
+        """Floating value at a complex point away from the poles.
+
+        prepared, when given, is prepare_rf(self.rational) at the working
+        precision; a caller evaluating many points passes it so the rational
+        part is converted once, not at every point.
+        """
         z = to_mpc(z)
-        value = eval_rf_complex(self._reduced, z)
+        if prepared is None:
+            prepared = prepare_rf(self._reduced)
+        value = eval_prepared_rf(prepared, z)
         if self.exp_count:
             value = value + self.exp_count * mpmath.exp(z)
         return value
@@ -475,6 +484,8 @@ def run_row_experiment(
     points = grid.points([info.location for info in poles])
 
     series = spec.taylor(n_max + p)
+    # f's rational part, converted at the first entry that needs the grid
+    f_prepared = None
     records = []
     for n in range(n_min, n_max + 1):
         entry = pade_approximant(series.truncated(n + p), n, p)
@@ -497,16 +508,24 @@ def run_row_experiment(
             skipped = 0
             flags.append("exact recovery")
         else:
+            if f_prepared is None:
+                f_prepared = prepare_rf(spec.rational)
+            prepared = prepare_rf(entry.fraction)
+            # The grid needs only the converted coefficients. Dropping the
+            # exact entry here, and the conversion after the grid, keeps the
+            # two from being alive together at the row's peak memory.
+            del entry
             sup = None
             skipped = 0
             for z in points:
                 try:
-                    err = abs(spec.evaluate(z) - eval_rf_complex(entry.fraction, z))
+                    err = abs(spec.evaluate(z, f_prepared) - eval_prepared_rf(prepared, z))
                 except (NearPoleError, DomainError):
                     skipped += 1
                     continue
                 if sup is None or err > sup:
                     sup = err
+            del prepared
             if sup is None:
                 flags.append("all grid points skipped")
         records.append(

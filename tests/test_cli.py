@@ -8,6 +8,7 @@ import pytest
 from padelab import cli, errors
 from padelab.cli import main
 from padelab.core.floats import DEFAULT_PRECISION, get_precision
+from padelab.core.scalars import format_rational
 
 TWO_POLE = '{"kind": "rational", "num": ["1", "2"], "den": ["1", "-5", "6"]}'
 EVEN_PAIR = '{"kind": "rational", "num": ["1"], "den": ["1", "0", "-1"]}'
@@ -91,6 +92,20 @@ class TestHankel:
         lines = out.splitlines()
         assert lines[0] == "m\\p,1,2"
         assert lines[1] == "0,1,-1/2"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_grid_formats_each_value_once(self, capsys, monkeypatch, fmt):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return format_rational(x)
+
+        monkeypatch.setattr(cli, "format_rational", counted)
+        code, _ = run(capsys, "hankel", "--series", "exp",
+                      "--m-max", "3", "--p-max", "2", "--format", fmt)
+        assert code == 0
+        assert len(calls) == 4 * 2
 
     def test_modes_are_exclusive(self, capsys):
         code, _ = run(capsys, "hankel", "--series", "exp", "--m", "0", "--p", "1",
@@ -244,6 +259,15 @@ class TestMontessus:
         lines = out.splitlines()
         assert lines[0] == "n,root_re,root_im,matched_pole,distance,sup_error,flag"
         assert len(lines) == 7  # two matched roots per n
+
+    def test_json_output_builds_no_csv_rows(self, capsys, monkeypatch):
+        def refuse(report):
+            raise AssertionError("CSV rows built for JSON output")
+
+        monkeypatch.setattr(cli, "report_to_csv_rows", refuse)
+        code, doc = run_json(capsys, "montessus", "--config", self.CONFIG)
+        assert code == 0
+        assert [r["n"] for r in doc["records"]] == [1, 2, 3]
 
     def test_byte_determinism(self, capsys):
         _, first = run(capsys, "montessus", "--config", self.CONFIG)

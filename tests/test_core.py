@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -21,12 +22,19 @@ from padelab import (
     series_from_moments,
     series_of_rational_function,
 )
-from padelab.core.floats import find_poly_roots, to_mpf
+from padelab.core.floats import (
+    eval_poly,
+    eval_prepared_rf,
+    find_poly_roots,
+    prepare_rf,
+    to_mpf,
+)
 from padelab.errors import (
     DomainError,
     InputError,
     InsufficientCoefficientsError,
     NearPoleError,
+    NonFiniteError,
     OriginPoleError,
     PoleEvaluationError,
     SchemaError,
@@ -227,6 +235,55 @@ class TestFloats:
         with pytest.raises(NearPoleError) as info:
             eval_rf_complex(rf, 1.0 + 1e-15)
         assert info.value.magnitude <= 1e-12
+        with pytest.raises(NearPoleError) as info:
+            eval_rf_complex(rf, 1)
+        assert info.value.magnitude == 0.0
+
+    @pytest.mark.parametrize("bits", [53, 113])
+    def test_prepared_evaluation_rounds_as_mpc_arithmetic(self, bits):
+        # eval_poly works in mpc arithmetic; the prepared form must agree
+        # with it bit for bit, at every point, from one conversion
+        rng = random.Random(bits)
+
+        def poly(degree):
+            return Polynomial([F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                               for _ in range(degree + 1)])
+
+        with precision(bits):
+            for _ in range(20):
+                rf = RationalFunction(poly(rng.randint(0, 12)), poly(rng.randint(0, 4)))
+                prepared = prepare_rf(rf)
+                for _ in range(5):
+                    z = mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    expected = eval_poly(rf.num, z) / eval_poly(rf.den, z)
+                    assert eval_prepared_rf(prepared, z) == expected
+                    assert eval_rf_complex(rf, z) == expected
+
+    def test_non_finite_denominator(self):
+        rf = RationalFunction(Polynomial((1,)), Polynomial((1, -1)))
+        with pytest.raises(NonFiniteError, match="polynomial evaluation"):
+            eval_rf_complex(rf, mpmath.inf)
+
+    def test_non_finite_numerator(self):
+        # exact coefficients cannot overflow mpf, so a float infinity stands in
+        rf = SimpleNamespace(num=SimpleNamespace(coeffs=(float("inf"),)),
+                             den=SimpleNamespace(coeffs=(1,)))
+        with pytest.raises(NonFiniteError, match="polynomial evaluation"):
+            eval_rf_complex(rf, 0.5)
+
+    def test_denominator_finiteness_checked_before_pole_guard(self):
+        # den = 1 + inf*z: at z = 1 its value inf is non-finite and, against
+        # an infinite threshold, also inside the guard
+        rf = SimpleNamespace(num=SimpleNamespace(coeffs=(1,)),
+                             den=SimpleNamespace(coeffs=(1, float("inf"))))
+        with pytest.raises(NonFiniteError, match="polynomial evaluation"):
+            eval_rf_complex(rf, 1)
+
+    def test_pole_guard_checked_before_numerator_finiteness(self):
+        rf = SimpleNamespace(num=SimpleNamespace(coeffs=(float("inf"),)),
+                             den=SimpleNamespace(coeffs=(1, -1)))
+        with pytest.raises(NearPoleError):
+            eval_rf_complex(rf, 1)
 
     def test_precision_context(self):
         x = F(1, 3)

@@ -15,6 +15,7 @@ from padelab import (
     parse_series_document,
     pole_match,
     pole_ordering_check,
+    precision,
     report_to_csv_rows,
     report_to_document,
     run_row_experiment,
@@ -273,6 +274,28 @@ class TestExperiment:
         for record in report.records:
             assert record.skipped_points == 0
             assert record.sup_error is not None
+
+    def test_spec_parsed_before_precision_change(self):
+        # the CLI parses the document, then sets the document's precision:
+        # the grid must be evaluated at the run's precision, not the parse's
+        doc = {
+            "function": {"kind": "sum", "parts": [
+                {"kind": "builtin", "name": "exp"},
+                {"kind": "rational", "num": ["1"], "den": ["1", "-3/7"]},
+            ]},
+            "p": 1, "n_min": 2, "n_max": 8,
+            "grid": {"radius": 0.5, "rim_points": 16, "interior_circles": 1,
+                     "points_per_circle": 8},
+        }
+        parsed_at_53 = parse_experiment_document(doc)
+        with precision(113):
+            parsed_at_113 = parse_experiment_document(doc)
+            reports = [
+                report_to_document(run_row_experiment(c.spec, c.p, c.n_min, c.n_max, c.grid))
+                for c in (parsed_at_53, parsed_at_113)
+            ]
+        assert reports[0]["precision"] == 113
+        assert reports[0] == reports[1]
 
     def test_radius_must_sit_inside_excluded_pole(self):
         spec = spec_of(EXP_PLUS_GEOMETRIC)
