@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Optional, Union
 import mpmath
 
 from .core.floats import eval_poly, to_mpc, to_mpf
-from .core.poly import Polynomial, RationalFunction
-from .core.scalars import format_rational, parse_rational
+from .core.poly import Polynomial, RationalFunction, convolve
+from .core.scalars import format_rational, integer_vector, parse_rational
 from .errors import (
     ConvergentIndexError,
     DegenerateSequenceError,
@@ -179,11 +179,13 @@ class ContinuedFraction:
         return pairs
 
     def prefix(self, k: int):
-        """A finite fraction carrying the head and the first k partials."""
+        """A finite fraction carrying the head, the first k partials and the offset."""
         if k < 0:
             raise InputError("prefix length must be nonnegative")
         cls = AlgebraicCF if self.algebraic else NumericCF
-        return cls(self._q0, [self.partial(i) for i in range(1, k + 1)])
+        head = cls(self._q0, [self.partial(i) for i in range(1, k + 1)])
+        head.convergent_offset = self.convergent_offset
+        return head
 
     def __repr__(self) -> str:
         n = self.length
@@ -284,16 +286,51 @@ def sqrt_cf(n: int, k: int) -> NumericCF:
     return NumericCF(Fraction(a0), terms)
 
 
-def _exact_term_div(num, den, index: int):
-    """num/den in the term ring; degeneracy if the division is not exact."""
-    if isinstance(num, Polynomial) or isinstance(den, Polynomial):
-        try:
-            return num.exact_div(den)
-        except DomainError as exc:
-            raise DegenerateSequenceError(
-                f"no exact polynomial term at index {index}: {exc}", index=index
-            ) from exc
-    return num / den
+def _integer_pair(a, b) -> tuple[list[int], list[int], int]:
+    """A pair (A, B) as integer coefficient vectors over one common denominator.
+
+    A number is read as a constant polynomial, zero as the empty vector.
+    """
+    ca = a.coeffs if isinstance(a, Polynomial) else ((a,) if a else ())
+    cb = b.coeffs if isinstance(b, Polynomial) else ((b,) if b else ())
+    ints, scale = integer_vector(ca + cb)
+    return ints[: len(ca)], ints[len(ca) :], scale
+
+
+def _cross(a1: list[int], b1: list[int], a2: list[int], b2: list[int]) -> list[int]:
+    """a1*b1 - a2*b2 as a trimmed integer coefficient vector."""
+    out, v = convolve(a1, b1), convolve(a2, b2)
+    out += [0] * (len(v) - len(out))
+    for i, y in enumerate(v):
+        out[i] -= y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _term_quotient(num: list[int], det: list[int], scale: Fraction, index: int):
+    """Coefficients of scale * num / det, with num and det trimmed and det nonzero.
+
+    A monomial c*z^j divides by a shift and a scale, and needs the j low
+    coefficients of num to vanish; any other det goes through exact_div.
+    A division that is not exact means no fraction has these convergents.
+    """
+    j = len(det) - 1
+    try:
+        if any(det[:j]):
+            return (Polynomial(num).exact_div(Polynomial(det)) * scale).coeffs
+        if any(num[:j]):
+            raise DomainError("polynomial division is not exact")
+    except DomainError as exc:
+        raise DegenerateSequenceError(
+            f"no exact polynomial term at index {index}: {exc}", index=index
+        ) from exc
+    c = det[j] * scale.denominator
+    return [Fraction(x * scale.numerator, c) for x in num[j:]]
+
+
+def _constant(coeffs) -> Fraction:
+    return coeffs[0] if coeffs else Fraction(0)
 
 
 def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
@@ -306,9 +343,21 @@ def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
     pairs[k] at convergent k + 1; the instance records this through
     convergent_offset = 1.
 
-    Each step solves the two-term recurrence for (p_k, q_k); a vanishing
-    solvability determinant or an inexact polynomial division means no
-    fraction generates the sequence, reported with the failing index.
+    Each step solves the two-term recurrence for (p_k, q_k):
+
+        q_k = (A_k B_{k-2} - A_{k-2} B_k) / D_k
+        p_k = (A_{k-1} B_k - A_k B_{k-1}) / D_k,  D_k = A_{k-1} B_{k-2} - A_{k-2} B_{k-1}
+
+    with (A_{-1}, B_{-1}) = (1, 0). The numerator of p_k is -D_{k+1}, so
+    each determinant is carried to the next step, not recomputed, and is
+    never zero: D_1 = -B_0, and a zero numerator of p_k stops the recovery
+    before step k + 1. Numbers are constant polynomials, and every pair is
+    scaled once to integer coefficient vectors, so the products are
+    integer convolutions. On a normal Pade row D_k is a single monomial
+    (the Frobenius identity), and the division is a shift. A zero partial
+    numerator (two consecutive pairs proportional) or an inexact polynomial
+    division means no fraction generates the sequence, reported with the
+    failing index.
     """
     raw = []
     algebraic = False
@@ -326,40 +375,29 @@ def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
     raw = [(coerce(a), coerce(b)) for a, b in raw]
     one = Polynomial.one() if algebraic else Fraction(1)
     zero = Polynomial.zero() if algebraic else Fraction(0)
+    term = Polynomial if algebraic else _constant
 
     offset = 0 if raw[0][1] == one else 1
     seq = ([(zero, one)] + raw) if offset else raw
-
-    def is_zero(t):
-        return t.is_zero if isinstance(t, Polynomial) else t == 0
-
-    q0 = seq[0][0]
+    vectors = [([1], [], 1)] + [_integer_pair(a, b) for a, b in seq]
+    # B_0 = 1 is scaled to [s_0], so D_1 = -[s_0]
+    det = [-vectors[1][2]]
     terms = []
     for k in range(1, len(seq)):
-        a_k, b_k = seq[k]
-        a_1, b_1 = seq[k - 1]
         index = k - offset
-        if k == 1:
-            q = b_k
-            p = a_k - q * a_1
-        else:
-            a_2, b_2 = seq[k - 2]
-            det = a_1 * b_2 - a_2 * b_1
-            if is_zero(det):
-                raise DegenerateSequenceError(
-                    f"consecutive pairs at index {index} are proportional",
-                    index=index,
-                )
-            q = _exact_term_div(a_k * b_2 - a_2 * b_k, det, index)
-            p = _exact_term_div(a_1 * b_k - a_k * b_1, det, index)
-        if is_zero(p):
+        (a2, b2, s2), (a1, b1, s1), (a, b, s) = vectors[k - 1 : k + 2]
+        q = _term_quotient(_cross(a, b2, a2, b), det, Fraction(s1, s), index)
+        nxt = _cross(a, b1, a1, b)
+        if not nxt:
             raise DegenerateSequenceError(
                 f"zero partial numerator forced at index {index}", index=index
             )
-        terms.append((p, q))
+        p = _term_quotient(nxt, det, Fraction(-s2, s), index)
+        terms.append((term(p), term(q)))
+        det = nxt
 
     cls = AlgebraicCF if algebraic else NumericCF
-    cf = cls(q0, terms)
+    cf = cls(seq[0][0], terms)
     cf.convergent_offset = offset
     return cf
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from ..errors import DomainError, InputError, PoleEvaluationError
 
@@ -11,6 +11,8 @@ CoeffLike = Union[Fraction, int]
 
 
 def _exact(c) -> Fraction:
+    if type(c) is Fraction:
+        return c
     if isinstance(c, float):
         raise InputError(f"exact coefficient expected, got float {c!r}")
     return Fraction(c)
@@ -270,9 +272,11 @@ class RationalFunction:
             raise InputError("zero denominator polynomial")
         c0 = den.coefficient(0)
         scale = c0 if c0 != 0 else den.leading_coefficient
-        inv = 1 / scale
-        self._num = num * inv
-        self._den = den * inv
+        if scale != 1:
+            inv = 1 / scale
+            num, den = num * inv, den * inv
+        self._num = num
+        self._den = den
 
     @staticmethod
     def _as_poly(obj) -> Polynomial:
@@ -371,3 +375,20 @@ class RationalFunction:
 def poly_product(a: Polynomial, b: Polynomial) -> Polynomial:
     """Exact product of two polynomials."""
     return a * b
+
+
+def convolve(a: list[int], b: list[int], size: Optional[int] = None) -> list[int]:
+    """Product of two integer coefficient vectors, cut to its first size terms.
+
+    Neither input needs trimming; the result keeps whatever zeros the
+    product has at the top.
+    """
+    n = len(a) + len(b) - 1 if a and b else 0
+    if size is not None:
+        n = min(n, size)
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from ..errors import InputError
 
@@ -46,3 +47,10 @@ def format_rational(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def integer_vector(values) -> tuple[list[int], int]:
+    """Exact values scaled to integers by the lcm of their denominators, and that lcm."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale

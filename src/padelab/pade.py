@@ -33,11 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Optional
 
 from .contfrac import AlgebraicCF, cf_from_convergents
-from .core.poly import Polynomial, RationalFunction
+from .core.poly import Polynomial, RationalFunction, convolve
+from .core.scalars import integer_vector
 from .core.series import PowerSeries, series_of_rational_function
 from .errors import (
     InputError,
@@ -62,13 +63,8 @@ from .errors import (
 
 def _integer_rows(matrix) -> tuple[list[list[int]], list[int]]:
     """Rows scaled to integers by the lcm of their denominators, and the scales."""
-    rows, scales = [], []
-    for row in matrix:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return rows, scales
+    scaled = [integer_vector(row) for row in matrix]
+    return [row for row, _ in scaled], [scale for _, scale in scaled]
 
 
 def _bareiss(a: list[list[int]], pivoting: bool = True) -> tuple[int, list[int]]:
@@ -273,8 +269,10 @@ def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
 
     Denominator coefficients solve the Toeplitz system that kills the
     series coefficients at indices L+1 .. L+M; the numerator is the product
-    f * den truncated at degree L. Everything stays in exact arithmetic, so
-    a singular system is detected exactly, not by a pivot tolerance.
+    f * den truncated at degree L, one integer convolution of the two
+    coefficient vectors cleared of denominators. Everything stays in exact
+    arithmetic, so a singular system is detected exactly, not by a pivot
+    tolerance.
     """
     if L < 0 or M < 0:
         raise InputError("approximant orders must be nonnegative")
@@ -294,15 +292,12 @@ def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
     sol = exact_solve(matrix, rhs)
     if sol is None:
         return PadeEntry(L, M, None)
-    den = Polynomial([Fraction(1)] + sol)
-    num_coeffs = []
-    for k in range(L + 1):
-        acc = Fraction(0)
-        for j in range(0, min(k, M) + 1):
-            acc += den.coefficient(j) * series.coefficient(k - j)
-        num_coeffs.append(acc)
-    num = Polynomial(num_coeffs)
-    return PadeEntry(L, M, RationalFunction(num, den))
+    den_coeffs = [Fraction(1)] + sol
+    den_ints, den_scale = integer_vector(den_coeffs)
+    series_ints, series_scale = integer_vector(series.coeffs[: L + 1])
+    scale = den_scale * series_scale
+    num = Polynomial([Fraction(c, scale) for c in convolve(den_ints, series_ints, L + 1)])
+    return PadeEntry(L, M, RationalFunction(num, Polynomial(den_coeffs)))
 
 
 def order_of_contact(series: PowerSeries, rf: RationalFunction) -> Optional[int]:

@@ -186,6 +186,29 @@ class TestRecovery:
         with pytest.raises(DegenerateSequenceError) as info:
             cf_from_convergents(pairs)
         assert info.value.index == 2
+        # D_2 = z: dividing z^2 - 2z - 1 by it needs a zero constant term
+        assert str(info.value) == (
+            "no exact polynomial term at index 2: polynomial division is not exact"
+        )
+
+    def test_inexact_division_by_non_monomial_reported(self):
+        pairs = [
+            (Polynomial.one(), Polynomial.one()),
+            (Polynomial((2, 1)), Polynomial.one()),
+            (Polynomial((0, 1)), Polynomial((1, 1))),
+        ]
+        with pytest.raises(DegenerateSequenceError) as info:
+            cf_from_convergents(pairs)
+        assert info.value.index == 2
+        assert str(info.value) == (
+            "no exact polynomial term at index 2: polynomial division is not exact"
+        )
+
+    def test_prefix_keeps_offset(self):
+        back = cf_from_convergents([(F(1), F(2)), (F(3), F(4)), (F(7), F(9))])
+        head = back.prefix(2)
+        assert head.convergent_offset == 1
+        assert tuple(head.convergent(2)) == (3, 4)
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):

@@ -29,6 +29,8 @@ from padelab.core.floats import (
     prepare_rf,
     to_mpf,
 )
+from padelab.core.poly import convolve
+from padelab.core.scalars import integer_vector
 from padelab.errors import (
     DomainError,
     InputError,
@@ -83,6 +85,29 @@ class TestPolynomial:
         assert poly_product(one_minus, Polynomial((1, 1))) == Polynomial((1, 0, -1))
         assert poly_product(one_minus, Polynomial.zero()).is_zero
         assert poly_product(Polynomial((F(1, 2),)), Polynomial((2,))) == Polynomial.one()
+
+    def test_fraction_coefficients_kept(self):
+        c = F(3, 7)
+        assert Polynomial((c, 1)).coeffs[0] is c
+        assert type(Polynomial((True, 2)).coeffs[0]) is F
+
+    def test_integer_convolution_matches_product(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            a = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))]
+            b = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))]
+            ia, sa = integer_vector(a)
+            ib, sb = integer_vector(b)
+            assert Polynomial(a) == Polynomial([F(x, sa) for x in ia])
+            full = Polynomial([F(x, sa * sb) for x in convolve(ia, ib)])
+            assert full == Polynomial(a) * Polynomial(b)
+            size = rng.randint(0, 8)
+            cut = Polynomial([F(x, sa * sb) for x in convolve(ia, ib, size)])
+            assert cut == full.truncated(size - 1)
+
+    def test_integer_vector_scale(self):
+        assert integer_vector([F(1, 2), 3, F(-5, 6)]) == ([3, 18, -5], 6)
+        assert integer_vector([]) == ([], 1)
 
     def test_ring_laws_random(self):
         rng = random.Random(7)

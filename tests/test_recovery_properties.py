@@ -1,0 +1,128 @@
+"""Convergent recovery as properties over generated fractions and rows.
+
+cf_from_convergents must invert the forward recurrence exactly: numeric
+and algebraic round trips give back the terms they started from. Terms of
+degree up to 2 make the determinants products of non-monomial partial
+numerators, so the recovery's general exact division runs as well as its
+monomial shift. On Pade rows of exp plus rational poles, the determinants
+are monomials (the Frobenius identity), and convergent k + offset of the
+recovered fraction is row entry k as an unreduced pair.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from padelab import (
+    AlgebraicCF,
+    NumericCF,
+    Polynomial,
+    RationalFunction,
+    builtin_series,
+    cf_from_convergents,
+    row_sequence,
+    row_to_cf,
+    series_of_rational_function,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+settings = hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+
+rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rationals = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+polynomials = st.lists(rationals, max_size=3).map(Polynomial)
+nonzero_polynomials = st.builds(
+    lambda low, top: Polynomial(low + [top]), st.lists(rationals, max_size=2), nonzero_rationals
+)
+
+
+def partials_of(cf):
+    return [cf.partial(k) for k in range(1, cf.length + 1)]
+
+
+@settings
+@hypothesis.given(
+    rationals, st.lists(st.tuples(nonzero_rationals, rationals), min_size=1, max_size=7)
+)
+def test_numeric_round_trip(q0, partials):
+    cf = NumericCF(q0, partials)
+    back = cf_from_convergents(cf.convergent_pairs(len(partials)))
+    assert back.convergent_offset == 0
+    assert back.q0 == q0
+    assert partials_of(back) == partials_of(cf)
+
+
+@settings
+@hypothesis.given(
+    polynomials, st.lists(st.tuples(nonzero_polynomials, polynomials), min_size=1, max_size=5)
+)
+def test_algebraic_round_trip_degree_two(q0, partials):
+    cf = AlgebraicCF(q0, partials)
+    back = cf_from_convergents(cf.convergent_pairs(len(partials)))
+    assert back.algebraic
+    assert back.convergent_offset == 0
+    assert back.q0 == cf.q0
+    assert partials_of(back) == partials_of(cf)
+
+
+def test_non_monomial_determinant_uses_exact_div(monkeypatch):
+    # p_1 = 1 + z makes D_3 = (1 + z)(1 - z^2) up to sign: not a monomial
+    calls = []
+    exact_div = Polynomial.exact_div
+
+    def counted(self, other):
+        calls.append(other)
+        return exact_div(self, other)
+
+    monkeypatch.setattr(Polynomial, "exact_div", counted)
+    partials = [
+        (Polynomial((1, 1)), Polynomial((2,))),
+        (Polynomial((1, 0, -1)), Polynomial((0, 1))),
+    ]
+    cf = AlgebraicCF(Polynomial((1,)), partials)
+    back = cf_from_convergents(cf.convergent_pairs(2))
+    assert partials_of(back) == partials_of(cf)
+    assert calls and all(d.degree >= 1 for d in calls)
+
+
+poles = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from((F(2), F(-2), F(3), F(-3), F(5, 2), F(-4, 3)))),
+    min_size=0,
+    max_size=3,
+    unique_by=lambda pole: pole[1],
+)
+
+
+def exp_plus_poles(parts, order):
+    """exp + sum of r / (1 - z/a); positive residues keep the constant term nonzero."""
+    series = builtin_series("exp", order)
+    for r, a in parts:
+        rf = RationalFunction(Polynomial((r,)), Polynomial((1, -1 / a)))
+        series = series + series_of_rational_function(rf, order)
+    return series
+
+
+@settings
+@hypothesis.given(poles, st.integers(0, 3), st.integers(1, 8))
+def test_row_convergents_are_row_entries(parts, p, n_max):
+    series = exp_plus_poles(parts, n_max + p)
+    entries = row_sequence(series, p, 0, n_max)
+    hypothesis.assume(not any(e.is_block for e in entries))
+    cf = row_to_cf(series, p, 0, n_max)
+    pairs = cf.convergent_pairs(n_max + cf.convergent_offset)
+    for k, entry in enumerate(entries):
+        a, b = pairs[k + cf.convergent_offset]
+        assert (a, b) == (entry.fraction.num, entry.fraction.den)
+
+
+def test_normal_row_divides_by_monomials_only(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError(f"long division by {other!r}")
+
+    monkeypatch.setattr(Polynomial, "exact_div", refuse)
+    series = exp_plus_poles([(1, F(2))], 15)
+    cf = row_to_cf(series, 3, 0, 12)
+    assert cf.convergent_offset == 1
+    assert cf.length == 13
