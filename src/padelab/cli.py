@@ -63,20 +63,15 @@ def _format_float(x: float) -> str:
 
 def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = []
-        for key in sorted(obj):
-            parts.append(f"{inner}{json.dumps(str(key))}: {dump_json(obj[key], indent + 1)}")
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return _join_lines("{", ((json.dumps(str(k)) + ": ", obj[k]) for k in sorted(obj)),
+                           "}", indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{inner}{dump_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        return _join_lines("[", (("", v) for v in obj), "]", indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -94,6 +89,19 @@ def dump_json(obj, indent: int = 0) -> str:
     raise InputError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+def _join_lines(opener: str, items, closer: str, indent: int) -> str:
+    """A container, one (label, value) item a line, from a single join.
+
+    Each value's text is copied once, into the container's.
+    """
+    newline = "\n" + "  " * (indent + 1)
+    parts = [opener]
+    for label, value in items:
+        parts += (newline, label, dump_json(value, indent + 1), ",")
+    parts[-1] = "\n" + "  " * indent + closer
+    return "".join(parts)
+
+
 def dump_csv(rows: list[list]) -> str:
     out = []
     for row in rows:
@@ -108,7 +116,8 @@ def dump_csv(rows: list[list]) -> str:
             else:
                 cells.append(str(cell))
         out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+    out.append("")  # the trailing newline
+    return "\n".join(out)
 
 
 def _emit(doc, fmt: str, csv_rows=None) -> None:
@@ -117,7 +126,8 @@ def _emit(doc, fmt: str, csv_rows=None) -> None:
             raise InputError("csv output is not supported for this subcommand")
         sys.stdout.write(dump_csv(csv_rows))
     else:
-        sys.stdout.write(dump_json(doc) + "\n")
+        sys.stdout.write(dump_json(doc))
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +336,20 @@ def _schema(command: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Handlers
+# Handlers: each returns its JSON document, its CSV rows (None where CSV is
+# not supported or not asked for) and its exit code, for main to emit. A
+# handler may leave out the document that its output format does not use.
 
 
-def _cmd_pade(args) -> int:
+def _cmd_pade(args) -> tuple:
     _require(args, ["series", "L", "M"])
     source = _series_arg(args.series)
     series = _series_for(source, args.L + args.M + 1, args.L + args.M)
     entry = pade_approximant(series, args.L, args.M)
-    _emit(_entry_document(entry), args.format)
-    return 1 if entry.is_block else 0
+    return _entry_document(entry), None, 1 if entry.is_block else 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple:
     _require(args, ["series", "L-max", "M-max"])
     source = _series_arg(args.series)
     lm = args.L_max + args.M_max
@@ -378,11 +389,10 @@ def _cmd_table(args) -> int:
                         f"({entry.fraction.num.pretty()}) / ({entry.fraction.den.pretty()})"
                     )
             rows.append(row)
-    _emit(doc, args.format, rows)
-    return 0
+    return doc, rows, 0
 
 
-def _cmd_hankel(args) -> int:
+def _cmd_hankel(args) -> tuple:
     _require(args, ["series"])
     source = _series_arg(args.series)
     single = args.m is not None or args.p is not None
@@ -394,8 +404,7 @@ def _cmd_hankel(args) -> int:
         top = args.m + 2 * args.p - 2
         series = _series_for(source, max(top, 0), max(top, 0))
         value = hankel_det(series, args.m, args.p)
-        _emit({"m": args.m, "p": args.p, "value": format_rational(value)}, args.format)
-        return 0
+        return {"m": args.m, "p": args.p, "value": format_rational(value)}, None, 0
     _require(args, ["m-max", "p-max"])
     top = args.m_max + 2 * args.p_max - 2
     series = _series_for(source, max(top, 0), max(top, 0))
@@ -410,8 +419,7 @@ def _cmd_hankel(args) -> int:
         rows = [["m\\p"] + list(range(1, args.p_max + 1))]
         for m, cells in enumerate(doc["rows"]):
             rows.append([m] + cells)
-    _emit(doc, args.format, rows)
-    return 0
+    return doc, rows, 0
 
 
 def _cf_source(args):
@@ -461,7 +469,7 @@ def _cf_source(args):
     return cf_from_convergents(pairs)
 
 
-def _cmd_cf(args) -> int:
+def _cmd_cf(args) -> tuple:
     cf = _cf_source(args)
     if args.eval is not None:
         _require(args, ["k"])
@@ -474,16 +482,13 @@ def _cmd_cf(args) -> int:
         except ValueError as exc:
             raise InputError(f"invalid evaluation point {args.eval!r}") from exc
         value = evaluate_cf(cf, mpmath.mpc(re, im), args.k, method=args.method)
-        _emit(
-            {
-                "k": args.k,
-                "method": args.method,
-                "point": {"re": re, "im": im},
-                "value": {"re": float(value.real), "im": float(value.imag)},
-            },
-            args.format,
-        )
-        return 0
+        doc = {
+            "k": args.k,
+            "method": args.method,
+            "point": {"re": re, "im": im},
+            "value": {"re": float(value.real), "im": float(value.imag)},
+        }
+        return doc, None, 0
     if args.convergent is not None:
         pair = cf.convergent(args.convergent)
         if cf.algebraic:
@@ -504,8 +509,7 @@ def _cmd_cf(args) -> int:
                 "B": format_rational(pair.denominator),
                 "reduced": format_rational(pair.reduced()),
             }
-        _emit(doc, args.format)
-        return 0
+        return doc, None, 0
     target = cf
     if cf.length is None:
         _require(args, ["terms"])
@@ -515,11 +519,10 @@ def _cmd_cf(args) -> int:
     doc = cf_to_document(target)
     if getattr(target, "convergent_offset", 0):
         doc["offset"] = target.convergent_offset
-    _emit(doc, args.format)
-    return 0
+    return doc, None, 0
 
 
-def _cmd_row_cf(args) -> int:
+def _cmd_row_cf(args) -> tuple:
     _require(args, ["series", "p", "n-min", "n-max"])
     source = _series_arg(args.series)
     need = args.n_max + args.p
@@ -531,11 +534,10 @@ def _cmd_row_cf(args) -> int:
     doc["p"] = args.p
     doc["n_min"] = args.n_min
     doc["n_max"] = args.n_max
-    _emit(doc, args.format)
-    return 0
+    return doc, None, 0
 
 
-def _cmd_montessus(args) -> int:
+def _cmd_montessus(args) -> tuple:
     _require(args, ["config"])
     config = parse_experiment_document(_load_json_arg(args.config, "experiment config"))
     if config.precision is not None:
@@ -543,12 +545,12 @@ def _cmd_montessus(args) -> int:
     report = run_row_experiment(
         config.spec, config.p, config.n_min, config.n_max, config.grid
     )
-    rows = report_to_csv_rows(report) if args.format == "csv" else None
-    _emit(report_to_document(report), args.format, rows)
-    return 0
+    if args.format == "csv":
+        return None, report_to_csv_rows(report), 0
+    return report_to_document(report), None, 0
 
 
-def _cmd_moments(args) -> int:
+def _cmd_moments(args) -> tuple:
     _require(args, ["moments"])
     text = args.moments.strip()
     if text.startswith("[") or text.startswith("@"):
@@ -559,11 +561,8 @@ def _cmd_moments(args) -> int:
     else:
         values = [parse_rational(m) for m in text.split(",") if m.strip()]
     series = series_from_moments(values)
-    _emit(
-        {"coeffs": [format_rational(c) for c in series.coeffs], "variable": series.variable},
-        args.format,
-    )
-    return 0
+    return {"coeffs": [format_rational(c) for c in series.coeffs],
+            "variable": series.variable}, None, 0
 
 
 _HANDLERS = {
@@ -607,11 +606,15 @@ def main(argv=None) -> int:
     saved_precision = get_precision()
     try:
         if args.emit_schema:
-            sys.stdout.write(dump_json(_schema(args.command)) + "\n")
+            _emit(_schema(args.command), "json")
             return 0
         if args.precision is not None:
             set_precision(args.precision)
-        return _HANDLERS[args.command](args)
+        # The handler's exact objects are gone by the time its output is
+        # serialized: only the document and the CSV rows are left.
+        doc, rows, code = _HANDLERS[args.command](args)
+        _emit(doc, args.format, rows)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,16 +8,23 @@ module pins the conversion rules and the error contracts.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul, round_nearest
+from mpmath.libmp import from_float, fzero, mpc_add_mpf, mpc_mul, round_nearest
 
 from ..errors import InputError, NearPoleError, NonFiniteError, RootFindingError
 
 DEFAULT_PRECISION = 53
+
+# The precision of an IEEE double: prepare_rf's double form applies here.
+DOUBLE_BITS = 53
+_DOUBLE_MIN = sys.float_info.min
 
 # Near-pole guard: evaluation refuses to divide when the denominator value
 # is below this multiple of the largest denominator coefficient magnitude.
@@ -91,15 +98,21 @@ def coefficient_scale(poly) -> mpmath.mpf:
     return scale
 
 
-def prepare_rf(rf) -> tuple:
-    """Convert a rational function once for evaluation at many points.
+def _double(x) -> float:
+    """x as the double equal to to_mpf(x) at 53 bits.
 
-    Returns (num, den, threshold): the raw mpf values (mpmath.libmp tuples)
-    of the numerator and denominator coefficients, highest degree first,
-    and the near-pole threshold, NEAR_POLE_EPS_REL times the largest
-    denominator coefficient magnitude. All three hold at the working
-    precision of the call; prepare again after changing it.
+    float() of a Fraction or an int rounds to nearest, as to_mpf does.
+    OverflowError where no double holds that value: past the double range,
+    or at a subnormal magnitude (or one that underflows to zero), where the
+    mpf still carries 53 bits.
     """
+    value = float(x)
+    if abs(value) <= _DOUBLE_MIN and x:
+        raise OverflowError("value below the normal double range")
+    return value
+
+
+def _prepare_mpf(rf) -> tuple:
     num = []
     for c in reversed(rf.num.coeffs):
         num.append(to_mpf(c)._mpf_)
@@ -109,18 +122,82 @@ def prepare_rf(rf) -> tuple:
     return num, den, to_mpf(NEAR_POLE_EPS_REL) * coefficient_scale(rf.den)
 
 
-def eval_prepared_rf(prepared, z) -> mpmath.mpc:
+def prepare_rf(rf) -> tuple:
+    """Convert a rational function once for evaluation at many points.
+
+    Returns (num, den, threshold): the numerator and denominator
+    coefficients, highest degree first, and the near-pole threshold,
+    NEAR_POLE_EPS_REL times the largest denominator coefficient magnitude.
+    At DOUBLE_BITS of working precision, when a double holds each of these
+    values exactly as to_mpf rounds it, they are Python floats (the double
+    form). Otherwise they are raw mpf values (mpmath.libmp tuples) and an
+    mpf threshold (the mpf form). Either holds at the working precision of
+    the call; prepare again after changing it.
+    """
+    if mp.prec == DOUBLE_BITS:
+        try:
+            num = [_double(c) for c in reversed(rf.num.coeffs)]
+            den = [_double(c) for c in reversed(rf.den.coeffs)]
+            return num, den, _double(NEAR_POLE_EPS_REL * max(map(abs, den), default=0.0))
+        except OverflowError:
+            pass
+    return _prepare_mpf(rf)
+
+
+def mpf_form(prepared) -> tuple:
+    """The mpf form of a prepare_rf result, holding the same values."""
+    num, den, threshold = prepared
+    if not isinstance(threshold, float):
+        return prepared
+    return [from_float(c) for c in num], [from_float(c) for c in den], mpmath.mpf(threshold)
+
+
+def eval_prepared_rf(prepared, z):
     """Evaluate a prepare_rf result at a complex point with a pole guard.
 
-    Denominator and numerator are evaluated by Horner's rule on the raw
-    values, each step rounded to nearest at the working precision, exactly
-    as mpc arithmetic (and eval_poly) rounds it. The division is refused
-    with NearPoleError when |den(z)| is at or below the prepared threshold;
-    the error carries the offending magnitude. NonFiniteError is raised for
-    a non-finite denominator (checked before the guard), numerator or
-    quotient.
+    Denominator and numerator are evaluated by Horner's rule. NonFiniteError
+    is raised for a non-finite denominator (checked before the guard),
+    numerator or quotient; the division is refused with NearPoleError when
+    |den(z)| is at or below the prepared threshold, and the error carries
+    the offending magnitude.
+
+    On the mpf form each step is rounded to nearest at the working
+    precision, exactly as mpc arithmetic (and eval_poly) rounds it, and the
+    value is an mpc. On the double form the steps are IEEE double complex
+    arithmetic, which can differ from mpc rounding in the last bits, and
+    the value is a Python complex. A point where a double goes non-finite,
+    which the unbounded mpf exponent may not, is evaluated again on the mpf
+    form, so it returns or raises as the mpf form does.
     """
     num, den, threshold = prepared
+    if not isinstance(threshold, float):
+        return _eval_mpf_form(num, den, threshold, z)
+    w = z if type(z) is complex else complex(to_mpc(z))
+    den_val = 0j
+    for c in den:
+        den_val = den_val * w + c
+    if cmath.isfinite(den_val):
+        try:
+            magnitude = abs(den_val)
+        except OverflowError:  # past the double range, so far above the guard
+            magnitude = math.inf
+        if magnitude <= threshold:
+            raise NearPoleError(
+                f"denominator magnitude {mpmath.nstr(mpmath.mpf(magnitude), 6)} below "
+                f"near-pole threshold at z = {mpmath.nstr(mpmath.mpc(w), 8)}",
+                magnitude=magnitude,
+            )
+        num_val = 0j
+        for c in num:
+            num_val = num_val * w + c
+        # a non-finite numerator leaves the quotient non-finite
+        value = num_val / den_val
+        if cmath.isfinite(value):
+            return value
+    return _eval_mpf_form(*mpf_form(prepared), mpmath.mpc(w))
+
+
+def _eval_mpf_form(num, den, threshold, z) -> mpmath.mpc:
     z = to_mpc(z)
     prec = mp.prec
     w = z._mpc_
@@ -151,9 +228,10 @@ def eval_prepared_rf(prepared, z) -> mpmath.mpc:
 def eval_rf_complex(rf, z) -> mpmath.mpc:
     """Evaluate a rational function at a complex point with a pole guard.
 
-    The one-point form of prepare_rf followed by eval_prepared_rf.
+    eval_prepared_rf on the mpf form, at any precision: the value is an mpc
+    rounded as mpc arithmetic rounds it.
     """
-    return eval_prepared_rf(prepare_rf(rf), z)
+    return _eval_mpf_form(*_prepare_mpf(rf), z)
 
 
 def find_poly_roots(poly) -> list[mpmath.mpc]:

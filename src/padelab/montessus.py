@@ -18,7 +18,9 @@ estimating rates.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -26,12 +28,14 @@ from typing import Optional
 import mpmath
 
 from .core.floats import (
+    DOUBLE_BITS,
     coefficient_scale,
     eval_poly,
     eval_prepared_rf,
     eval_rf_complex,
     find_poly_roots,
     get_precision,
+    mpf_form,
     prepare_rf,
     to_mpc,
     to_mpf,
@@ -213,19 +217,26 @@ class MeromorphicSpec:
             series = PowerSeries(c + self.exp_count * e for c, e in zip(series.coeffs, exp))
         return series
 
-    def evaluate(self, z, prepared=None) -> mpmath.mpc:
+    def evaluate(self, z, prepared=None):
         """Floating value at a complex point away from the poles.
 
         prepared, when given, is prepare_rf(self.rational) at the working
         precision; a caller evaluating many points passes it so the rational
-        part is converted once, not at every point.
+        part is converted once, not at every point. On its double form the
+        value is a Python complex, with exp taken by cmath, unless a double
+        overflows; otherwise, and without prepared, it is an mpc.
         """
-        z = to_mpc(z)
         if prepared is None:
-            prepared = prepare_rf(self._reduced)
-        value = eval_prepared_rf(prepared, z)
+            value = eval_rf_complex(self._reduced, z)
+        else:
+            value = eval_prepared_rf(prepared, z)
         if self.exp_count:
-            value = value + self.exp_count * mpmath.exp(z)
+            if type(value) is complex:
+                try:
+                    return value + self.exp_count * cmath.exp(complex(z))
+                except OverflowError:
+                    pass
+            value = value + self.exp_count * mpmath.exp(to_mpc(z))
         return value
 
 
@@ -315,24 +326,31 @@ class GridSpec:
 
     def points(self, excluded_centers=()) -> list[mpmath.mpc]:
         """Deterministic point list: rim first, then circles outward."""
+        return list(self.iter_points(excluded_centers))
+
+    def iter_points(self, excluded_centers=()):
+        """The points of points(), one at a time."""
         self.validate()
         r = to_mpf(self.radius)
         delta = to_mpf(self.exclusion)
-        centers = [to_mpc(c) for c in excluded_centers]
-        out: list[mpmath.mpc] = []
-
-        def circle(rho, count):
+        centers = [(c, abs(c)) for c in map(to_mpc, excluded_centers)]
+        # Rounding slack of |z - c| against | |c| - rho |, with room to spare
+        slack = mpmath.ldexp(1, 8 - get_precision())
+        circles = [(r, self.rim_points)] + [
+            (r * j / (self.interior_circles + 1), self.points_per_circle)
+            for j in range(1, self.interior_circles + 1)
+        ]
+        two_pi = 2 * mpmath.pi
+        for rho, count in circles:
+            # |z - c| >= | |c| - rho | on the circle: a center farther than
+            # delta from it, by more than the slack, excludes no point
+            near = [c for c, m in centers if not abs(m - rho) - delta > slack * (rho + m)]
             for k in range(count):
-                theta = 2 * mpmath.pi * k / count
-                z = rho * mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta))
-                if any(abs(z - c) < delta for c in centers):
+                cos, sin = mpmath.cos_sin(two_pi * k / count)
+                z = rho * mpmath.mpc(cos, sin)
+                if any(abs(z - c) < delta for c in near):
                     continue
-                out.append(z)
-
-        circle(r, self.rim_points)
-        for j in range(1, self.interior_circles + 1):
-            circle(r * j / (self.interior_circles + 1), self.points_per_circle)
-        return out
+                yield z
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +461,21 @@ def _log_fit(points: list[tuple[int, mpmath.mpf]]) -> Optional[dict]:
     }
 
 
+def _grid_error(spec: MeromorphicSpec, f_prepared, prepared, z):
+    """|f(z) - r(z)| from prepare_rf forms of f's rational part and of r.
+
+    A point where a double overflows in the subtraction or the modulus,
+    which the mpf values may not, is measured again on the mpf forms.
+    """
+    try:
+        err = abs(spec.evaluate(z, f_prepared) - eval_prepared_rf(prepared, z))
+        if err < math.inf:  # neither infinite nor nan
+            return err
+    except OverflowError:
+        pass
+    return abs(spec.evaluate(z, mpf_form(f_prepared)) - eval_prepared_rf(mpf_form(prepared), z))
+
+
 def run_row_experiment(
     spec: MeromorphicSpec,
     p: int,
@@ -481,7 +514,13 @@ def run_row_experiment(
             )
 
     report_flags = [] if check.gap_ok else [GAP_FLAG]
-    points = grid.points([info.location for info in poles])
+    points = grid.iter_points([info.location for info in poles])
+    # At DOUBLE_BITS the grid is held as Python complex values, the exact
+    # conversion of the mpc points, for the double forms of prepare_rf.
+    if get_precision() == DOUBLE_BITS:
+        points = [complex(z) for z in points]
+    else:
+        points = list(points)
 
     series = spec.taylor(n_max + p)
     # f's rational part, converted at the first entry that needs the grid
@@ -519,7 +558,7 @@ def run_row_experiment(
             skipped = 0
             for z in points:
                 try:
-                    err = abs(spec.evaluate(z, f_prepared) - eval_prepared_rf(prepared, z))
+                    err = _grid_error(spec, f_prepared, prepared, z)
                 except (NearPoleError, DomainError):
                     skipped += 1
                     continue
@@ -528,6 +567,8 @@ def run_row_experiment(
             del prepared
             if sup is None:
                 flags.append("all grid points skipped")
+            else:
+                sup = mpmath.mpf(sup)
         records.append(
             RowRecord(
                 n, False, exact, tuple(roots), matches, matching.spurious,

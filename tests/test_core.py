@@ -26,6 +26,7 @@ from padelab.core.floats import (
     eval_poly,
     eval_prepared_rf,
     find_poly_roots,
+    mpf_form,
     prepare_rf,
     to_mpf,
 )
@@ -266,8 +267,9 @@ class TestFloats:
 
     @pytest.mark.parametrize("bits", [53, 113])
     def test_prepared_evaluation_rounds_as_mpc_arithmetic(self, bits):
-        # eval_poly works in mpc arithmetic; the prepared form must agree
-        # with it bit for bit, at every point, from one conversion
+        # eval_poly works in mpc arithmetic; the mpf form must agree with it
+        # bit for bit, at every point, from one conversion, and so must
+        # eval_rf_complex at every precision, 53 bits included
         rng = random.Random(bits)
 
         def poly(degree):
@@ -277,15 +279,25 @@ class TestFloats:
         with precision(bits):
             for _ in range(20):
                 rf = RationalFunction(poly(rng.randint(0, 12)), poly(rng.randint(0, 4)))
-                prepared = prepare_rf(rf)
+                prepared = mpf_form(prepare_rf(rf))
                 for _ in range(5):
                     z = mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                     expected = eval_poly(rf.num, z) / eval_poly(rf.den, z)
                     assert eval_prepared_rf(prepared, z) == expected
                     assert eval_rf_complex(rf, z) == expected
 
+    @staticmethod
+    def _forms(rf):
+        # the double form prepare_rf gives at 53 bits, and the mpf form
+        double = prepare_rf(rf)
+        assert isinstance(double[2], float)
+        return [double, mpf_form(double)]
+
     def test_non_finite_denominator(self):
         rf = RationalFunction(Polynomial((1,)), Polynomial((1, -1)))
+        for prepared in self._forms(rf):
+            with pytest.raises(NonFiniteError, match="polynomial evaluation"):
+                eval_prepared_rf(prepared, mpmath.inf)
         with pytest.raises(NonFiniteError, match="polynomial evaluation"):
             eval_rf_complex(rf, mpmath.inf)
 
@@ -293,6 +305,9 @@ class TestFloats:
         # exact coefficients cannot overflow mpf, so a float infinity stands in
         rf = SimpleNamespace(num=SimpleNamespace(coeffs=(float("inf"),)),
                              den=SimpleNamespace(coeffs=(1,)))
+        for prepared in self._forms(rf):
+            with pytest.raises(NonFiniteError, match="polynomial evaluation"):
+                eval_prepared_rf(prepared, 0.5)
         with pytest.raises(NonFiniteError, match="polynomial evaluation"):
             eval_rf_complex(rf, 0.5)
 
@@ -301,12 +316,19 @@ class TestFloats:
         # an infinite threshold, also inside the guard
         rf = SimpleNamespace(num=SimpleNamespace(coeffs=(1,)),
                              den=SimpleNamespace(coeffs=(1, float("inf"))))
+        for prepared in self._forms(rf):
+            with pytest.raises(NonFiniteError, match="polynomial evaluation"):
+                eval_prepared_rf(prepared, 1)
         with pytest.raises(NonFiniteError, match="polynomial evaluation"):
             eval_rf_complex(rf, 1)
 
     def test_pole_guard_checked_before_numerator_finiteness(self):
         rf = SimpleNamespace(num=SimpleNamespace(coeffs=(float("inf"),)),
                              den=SimpleNamespace(coeffs=(1, -1)))
+        for prepared in self._forms(rf):
+            with pytest.raises(NearPoleError, match="below near-pole threshold") as info:
+                eval_prepared_rf(prepared, 1)
+            assert info.value.magnitude == 0.0
         with pytest.raises(NearPoleError):
             eval_rf_complex(rf, 1)
 

@@ -9,6 +9,10 @@ argparse, once for --emit-schema); declaring it once must not move it.
 The montessus files hold row experiment reports as produced by the grid
 evaluator that converted every exact coefficient to mpf at every grid
 point; converting each rational function once per run must not move them.
+The two README files run at 53 bits and were pinned again when that grid
+moved to IEEE doubles: their record n = 14 sits at the precision floor, so
+its sup error and the rate fit over it moved in the last digits. The
+113-bit and gap-violating files did not move.
 The row-cf and cf files hold continued fractions as recovered by the
 Fraction-valued convergent recurrence that recomputed every determinant
 and divided by long division; the integer recurrence must not move them,
