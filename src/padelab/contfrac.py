@@ -82,6 +82,8 @@ class ConvergentPair:
 
 
 def _as_numeric_term(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, str):
         return parse_rational(x)
     if isinstance(x, float):
@@ -160,23 +162,28 @@ class ContinuedFraction:
                 f"convergent index {k} exceeds term count {self.length}"
             )
 
-    def convergent(self, k: int) -> ConvergentPair:
-        """Exact pair (A_k, B_k) from the forward recurrence."""
-        return self.convergent_pairs(k)[-1]
-
-    def convergent_pairs(self, upto: int) -> list[ConvergentPair]:
-        """Pairs (A_0, B_0) through (A_upto, B_upto) in one forward pass."""
+    def _forward(self, upto: int):
+        """Yield the pairs (A_0, B_0) through (A_upto, B_upto) in order."""
         self._check_index(upto)
         one, zero = self._ring()
         a_prev, b_prev = one, zero
         a, b = self._q0, one
-        pairs = [ConvergentPair(a, b)]
+        yield ConvergentPair(a, b)
         for k in range(1, upto + 1):
             p, q = self.partial(k)
             a, a_prev = q * a + p * a_prev, a
             b, b_prev = q * b + p * b_prev, b
-            pairs.append(ConvergentPair(a, b))
-        return pairs
+            yield ConvergentPair(a, b)
+
+    def convergent(self, k: int) -> ConvergentPair:
+        """Exact pair (A_k, B_k) from the forward recurrence."""
+        for pair in self._forward(k):
+            pass
+        return pair
+
+    def convergent_pairs(self, upto: int) -> list[ConvergentPair]:
+        """Pairs (A_0, B_0) through (A_upto, B_upto) in one forward pass."""
+        return list(self._forward(upto))
 
     def prefix(self, k: int):
         """A finite fraction carrying the head, the first k partials and the offset."""
@@ -379,13 +386,14 @@ def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
 
     offset = 0 if raw[0][1] == one else 1
     seq = ([(zero, one)] + raw) if offset else raw
-    vectors = [([1], [], 1)] + [_integer_pair(a, b) for a, b in seq]
+    # each step reads pairs k-2, k-1 and k, scaled when the step reaches them
+    (a2, b2, s2), (a1, b1, s1) = ([1], [], 1), _integer_pair(*seq[0])
     # B_0 = 1 is scaled to [s_0], so D_1 = -[s_0]
-    det = [-vectors[1][2]]
+    det = [-s1]
     terms = []
     for k in range(1, len(seq)):
         index = k - offset
-        (a2, b2, s2), (a1, b1, s1), (a, b, s) = vectors[k - 1 : k + 2]
+        a, b, s = _integer_pair(*seq[k])
         q = _term_quotient(_cross(a, b2, a2, b), det, Fraction(s1, s), index)
         nxt = _cross(a, b1, a1, b)
         if not nxt:
@@ -395,6 +403,7 @@ def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
         p = _term_quotient(nxt, det, Fraction(-s2, s), index)
         terms.append((term(p), term(q)))
         det = nxt
+        (a2, b2, s2), (a1, b1, s1) = (a1, b1, s1), (a, b, s)
 
     cls = AlgebraicCF if algebraic else NumericCF
     cf = cls(seq[0][0], terms)

@@ -30,8 +30,8 @@ _DOUBLE_MIN = sys.float_info.min
 # is below this multiple of the largest denominator coefficient magnitude.
 NEAR_POLE_EPS_REL = 1e-12
 
-# Root residual contract: max |den(root)| must stay below this multiple of
-# the largest coefficient magnitude.
+# Root residual contract: |den(root)| must stay below this multiple of the
+# largest coefficient magnitude, or of the Horner magnitude at the root.
 ROOT_RESIDUAL_REL = 1e-9
 
 mp.prec = DEFAULT_PRECISION
@@ -239,8 +239,9 @@ def find_poly_roots(poly) -> list[mpmath.mpc]:
 
     Uses simultaneous iteration on the full root set, then checks every
     root against the residual contract |poly(root)| <= ROOT_RESIDUAL_REL
-    times the largest coefficient magnitude. Roots are sorted by real part,
-    then imaginary part.
+    times the largest coefficient magnitude, or, for a far root where
+    rounding grows with |c_k||root|^k, times the Horner magnitude: the sum
+    of those terms. Roots are sorted by real part, then imaginary part.
     """
     if poly.is_zero:
         raise InputError("the zero polynomial has no root set")
@@ -256,12 +257,17 @@ def find_poly_roots(poly) -> list[mpmath.mpc]:
             raise RootFindingError(f"root iteration did not converge: {exc}") from exc
     roots = [to_mpc(r) for r in roots]
     scale = coefficient_scale(poly)
-    bound = to_mpf(ROOT_RESIDUAL_REL) * scale
+    rel = to_mpf(ROOT_RESIDUAL_REL)
+    bound = rel * scale
     for r in roots:
         res = abs(eval_poly(poly, r))
-        if not res <= bound:
+        if res <= bound:
+            continue
+        modulus = abs(r)
+        far = rel * mpmath.fsum(abs(to_mpf(c)) * modulus**k for k, c in enumerate(poly.coeffs))
+        if not res <= far:
             raise RootFindingError(
                 f"root residual {mpmath.nstr(res, 6)} exceeds contract "
-                f"{mpmath.nstr(bound, 6)}"
+                f"{mpmath.nstr(max(bound, far), 6)}"
             )
     return sorted(roots, key=lambda r: (r.real, r.imag))

@@ -14,24 +14,24 @@ Conventions used throughout:
     construction, where shifted windows arise naturally.
   * The normality flag of (L, M) checks the four governing determinants
     with windows (L-M+1, M), (L-M+2, M), (L-M, M+1), (L-M+1, M+1); the
-    entry is normal when none vanish.
+    entry is normal when none vanish. These are the determinants of the
+    systems of [L/M], [L+1/M], [L/M+1] and [L+1/M+1], so a table reads
+    its flags from its own singular markers.
 
 Singular systems cluster: inside a table they form square regions, and the
 fraction they repeat sits one step up-left of the square's corner. The
 table groups markers into those squares and reports them as blocks.
 
 Every determinant and linear solve here runs through one integer Bareiss
-kernel (Bareiss, Math. Comp. 22, 1968). Tables and Hankel grids read their
-determinants from a Hankel store that lives for one call: without
-pivoting, the pivots of one elimination of window (m, P) are the leading
-minors H_m^(1..P), so each offset is eliminated once instead of each
-window, and each table cell's four normality determinants are looked up
-rather than recomputed.
+kernel (Bareiss, Math. Comp. 22, 1968). Only the cells one step past a
+table's last row and column, which it does not solve, get a determinant
+for its flags. A Hankel grid eliminates each offset once without pivoting:
+the pivots of window (m, P) are the leading minors H_m^(1..P).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Optional
@@ -56,9 +56,9 @@ from .errors import (
 # floor division, with no gcd per step. Pivot k of the elimination is the
 # leading (k+1)-minor of the scaled, row-permuted matrix (Sylvester's
 # identity, Bareiss 1968). exact_det divides the last pivot by the product
-# of the row scales; exact_solve back-substitutes in integers; the Hankel
-# store below runs the kernel without pivoting and reads every pivot as a
-# leading minor.
+# of the row scales; exact_solve back-substitutes in integers; hankel_grid
+# runs the kernel without pivoting and reads every pivot as a leading
+# minor.
 
 
 def _integer_rows(matrix) -> tuple[list[list[int]], list[int]]:
@@ -172,46 +172,6 @@ def _hankel_rows(series: PowerSeries, m: int, p: int) -> list[list[Fraction]]:
     return [[_padded_coefficient(series, m + i + j) for j in range(p)] for i in range(p)]
 
 
-class _HankelStore:
-    """Hankel determinants of one series, each window computed once.
-
-    Without pivoting, pivot k of the Bareiss elimination of window (m, P)
-    is the leading minor H_m^(k+1) times the product of the first k+1 row
-    scales, so one elimination per offset m gives H_m^(1..P). A zero pivot
-    ends that sweep. Windows past it, and every zero-padded negative
-    offset, fall back to a direct determinant, memoized like the rest.
-    The store lives for one table or grid; p_max bounds the sweep size.
-    """
-
-    def __init__(self, series: PowerSeries, p_max: int) -> None:
-        self.series = series
-        self.p_max = p_max
-        self.dets: dict = {}
-        self.swept: set = set()
-
-    def det(self, m: int, p: int) -> Fraction:
-        if p == 0:
-            return Fraction(1)
-        if m >= 0 and m not in self.swept:
-            self._sweep(m)
-        value = self.dets.get((m, p))
-        if value is None:
-            value = self.dets[(m, p)] = exact_det(_hankel_rows(self.series, m, p))
-        return value
-
-    def _sweep(self, m: int) -> None:
-        self.swept.add(m)
-        size = min(self.p_max, (self.series.order - m) // 2 + 1)
-        if size < 1:
-            return
-        a, scales = _integer_rows(_hankel_rows(self.series, m, size))
-        _, pivots = _bareiss(a, pivoting=False)
-        scale = 1
-        for p, (pivot, row_scale) in enumerate(zip(pivots, scales), 1):
-            scale *= row_scale
-            self.dets[(m, p)] = Fraction(pivot, scale)
-
-
 def hankel_det(series: PowerSeries, m: int, p: int) -> Fraction:
     """Hankel determinant of the window starting at offset m with size p.
 
@@ -232,8 +192,22 @@ def hankel_grid(series: PowerSeries, m_max: int, p_max: int) -> list[list[Fracti
     """Grid of determinants: row m in 0..m_max, column p in 1..p_max."""
     if m_max < 0 or p_max < 1:
         raise InputError("grid needs m_max >= 0 and p_max >= 1")
-    store = _HankelStore(series, p_max)
-    return [[store.det(m, p) for p in range(1, p_max + 1)] for m in range(m_max + 1)]
+    grid = []
+    for m in range(m_max + 1):
+        # pivot k of window (m, size) is H_m^(k+1) times the first k+1 row
+        # scales; a zero pivot ends the elimination, and the windows past it
+        # (or past the series) get a direct determinant
+        size = min(p_max, (series.order - m) // 2 + 1)
+        row, scale = [], 1
+        if size > 0:
+            a, scales = _integer_rows(_hankel_rows(series, m, size))
+            for pivot, row_scale in zip(_bareiss(a, pivoting=False)[1], scales):
+                scale *= row_scale
+                row.append(Fraction(pivot, scale))
+        for p in range(len(row) + 1, p_max + 1):
+            row.append(exact_det(_hankel_rows(series, m, p)))
+        grid.append(row)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +238,14 @@ class PadeEntry:
         return (self.L, self.M) if self.fraction is None else None
 
 
+def _toeplitz_rows(series: PowerSeries, L: int, M: int) -> list[list[Fraction]]:
+    """The M x M matrix [s_{L+1+r-c}] of the [L/M] denominator system."""
+    return [
+        [_padded_coefficient(series, L + 1 + r - c) for c in range(1, M + 1)]
+        for r in range(M)
+    ]
+
+
 def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
     """The [L/M] entry of the series, or a block marker.
 
@@ -284,12 +266,8 @@ def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
     if M == 0:
         num = Polynomial(series.coeffs[: L + 1])
         return PadeEntry(L, M, RationalFunction(num, Polynomial.one()))
-    matrix = [
-        [_padded_coefficient(series, L + 1 + r - c) for c in range(1, M + 1)]
-        for r in range(M)
-    ]
     rhs = [-series.coefficient(L + 1 + r) for r in range(M)]
-    sol = exact_solve(matrix, rhs)
+    sol = exact_solve(_toeplitz_rows(series, L, M), rhs)
     if sol is None:
         return PadeEntry(L, M, None)
     den_coeffs = [Fraction(1)] + sol
@@ -388,14 +366,6 @@ class PadeTable:
             raise InputError(f"entry ({L}, {M}) outside table") from None
 
 
-def _normality_flag(store: _HankelStore, L: int, M: int) -> Optional[bool]:
-    """All four governing determinants nonzero; None when out of reach."""
-    if store.series.order < L + M + 1:
-        return None
-    windows = ((L - M + 1, M), (L - M + 2, M), (L - M, M + 1), (L - M + 1, M + 1))
-    return all(store.det(m, p) != 0 for m, p in windows)
-
-
 def pade_table(series: PowerSeries, Lmax: int, Mmax: int) -> PadeTable:
     """Rectangular table of entries with normality flags and block squares."""
     if Lmax < 0 or Mmax < 0:
@@ -405,12 +375,22 @@ def pade_table(series: PowerSeries, Lmax: int, Mmax: int) -> PadeTable:
             f"table to ({Lmax}, {Mmax}) needs coefficients through {Lmax + Mmax}, "
             f"series stops at {series.order}"
         )
-    store = _HankelStore(series, Mmax + 1)
-    entries = {}
-    for L in range(Lmax + 1):
-        for M in range(Mmax + 1):
-            entry = pade_approximant(series, L, M)
-            entries[(L, M)] = replace(entry, normal=_normality_flag(store, L, M))
+    entries = {
+        (L, M): pade_approximant(series, L, M)
+        for L in range(Lmax + 1)
+        for M in range(Mmax + 1)
+    }
+    singular = {cell for cell, entry in entries.items() if entry.is_block}
+    # the cells one step past the last row and column are not solved; each
+    # gets a determinant where its matrix fits the series
+    edge = [(Lmax + 1, M) for M in range(Mmax + 2)] + [(L, Mmax + 1) for L in range(Lmax + 1)]
+    for L, M in edge:
+        if L + M - 1 <= series.order and exact_det(_toeplitz_rows(series, L, M)) == 0:
+            singular.add((L, M))
+    for (L, M), entry in entries.items():
+        if series.order >= L + M + 1:
+            normal = singular.isdisjoint(((L, M), (L + 1, M), (L, M + 1), (L + 1, M + 1)))
+            entries[(L, M)] = PadeEntry(L, M, entry.fraction, normal)
 
     blocks: list[Block] = []
     block_of: dict = {}

@@ -14,6 +14,7 @@ from padelab import (
     builtin_series,
     eval_rf_complex,
     format_rational,
+    pade_approximant,
     parse_rational,
     parse_series_document,
     poly_product,
@@ -23,6 +24,8 @@ from padelab import (
     series_of_rational_function,
 )
 from padelab.core.floats import (
+    ROOT_RESIDUAL_REL,
+    coefficient_scale,
     eval_poly,
     eval_prepared_rf,
     find_poly_roots,
@@ -40,6 +43,7 @@ from padelab.errors import (
     NonFiniteError,
     OriginPoleError,
     PoleEvaluationError,
+    RootFindingError,
     SchemaError,
     UnknownBuiltinError,
 )
@@ -349,6 +353,29 @@ class TestFloats:
 
     def test_roots_constant_empty(self):
         assert find_poly_roots(Polynomial((4,))) == []
+
+    def test_far_root_within_horner_contract(self):
+        # exp + sum 1/(1 - z/a) over a in {-5/2, 9/2, 16/3, -6}: the [1/4]
+        # denominator has a spurious root near 2622.14, where rounding alone
+        # leaves a residual above 1e-9 times the largest coefficient
+        series = builtin_series("exp", 5)
+        for a in (F(-5, 2), F(9, 2), F(16, 3), F(-6)):
+            rf = RationalFunction(Polynomial((1,)), Polynomial((1, -1 / a)))
+            series = series + series_of_rational_function(rf, 5)
+        den = pade_approximant(series, 1, 4).fraction.den
+        with precision(53):
+            roots = find_poly_roots(den)
+            far = max(roots, key=abs)
+            residual = abs(eval_poly(den, far))
+            assert residual > ROOT_RESIDUAL_REL * coefficient_scale(den)
+        assert len(roots) == 4
+        assert abs(far - mpmath.mpf("2622.1401342007057")) < 1e-9 * 2622
+
+    def test_root_past_both_contracts_rejected(self, monkeypatch):
+        den = Polynomial((6, -5, 1))  # roots 2 and 3; 5/2 leaves residual 1/4
+        monkeypatch.setattr(mpmath, "polyroots", lambda *a, **k: [mpmath.mpc(2.5), mpmath.mpc(3)])
+        with pytest.raises(RootFindingError, match="exceeds contract"):
+            find_poly_roots(den)
 
 
 class TestSeriesDocuments:

@@ -12,7 +12,9 @@ point; converting each rational function once per run must not move them.
 The two README files run at 53 bits and were pinned again when that grid
 moved to IEEE doubles: their record n = 14 sits at the precision floor, so
 its sup error and the rate fit over it moved in the last digits. The
-113-bit and gap-violating files did not move.
+113-bit and gap-violating files did not move. The far-root file was pinned
+when a root's residual could also pass against its Horner magnitude;
+before that, the run stopped with a root-finding error.
 The row-cf and cf files hold continued fractions as recovered by the
 Fraction-valued convergent recurrence that recomputed every determinant
 and divided by long division; the integer recurrence must not move them,
@@ -65,11 +67,21 @@ CASES = {
     # 1/(1-z^2): most of the table is block markers
     "table_even_6x6.json": ["table", "--series", EVEN_PAIR, "--L-max", "6", "--M-max", "6"],
 }
+# exp + sum 1/(1 - z/a), a in {-5/2, 9/2, 16/3, -6}: the [1/4] denominator
+# has a root near 2622.14 whose 53-bit residual passes only the Horner bound.
+FAR_ROOT_CONFIG = {
+    "function": {"kind": "sum", "parts": [{"kind": "builtin", "name": "exp"}] + [
+        {"kind": "rational", "num": ["1"], "den": ["1", c]}
+        for c in ("2/5", "-2/9", "-3/16", "1/6")
+    ]},
+    "p": 4, "n_min": 0, "n_max": 6, "grid": {"radius": 2}, "precision": 53,
+}
 CASES.update({
     "montessus_readme.json": _montessus(README_CONFIG),
     "montessus_readme.csv": _montessus(README_CONFIG, "--format", "csv"),
     "montessus_precision_113.json": _montessus(dict(README_CONFIG, precision=113)),
     "montessus_gap_violated.json": _montessus(GAP_CONFIG),
+    "montessus_far_root.json": _montessus(FAR_ROOT_CONFIG),
 })
 CASES.update({
     "rowcf_exp_p1_n0_40.json": ["row-cf", "--series", "exp", "--p", "1",

@@ -1,9 +1,11 @@
-"""Exact kernel against independent oracles, and the Hankel store against
-direct determinants.
+"""Exact kernel against independent oracles, and table flags and Hankel
+grids against direct determinants and Sylvester's identity.
 
 exact_det is checked against sympy's determinant over QQ, exact_solve by
-its residuals, and every determinant that tables and grids read from the
-Hankel store against a determinant computed directly for that window.
+its residuals, every Hankel grid entry against a determinant computed
+directly for that window, and every table normality flag, which the table
+reads from its own singular solves, against the four governing Hankel
+determinants computed by sympy.
 """
 
 from fractions import Fraction as F
@@ -132,6 +134,87 @@ class TestHankelStore:
             windows = ((L - M + 1, M), (L - M + 2, M), (L - M, M + 1), (L - M + 1, M + 1))
             expected = all(exact_det(padded_window(series, m, p)) != 0 for m, p in windows)
             assert entry.normal is expected, (L, M)
+
+
+def rational_series(num, den, order):
+    return series_of_rational_function(RationalFunction(Polynomial(num), Polynomial(den)), order)
+
+
+def pole_sum(draw, count, order):
+    """Sum of b/(1 - z/a) over count rational poles a."""
+    series = PowerSeries([F(0)] * (order + 1))
+    for _ in range(count):
+        a = draw(st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 5)))
+        b = draw(st.integers(1, 3))
+        series = series + rational_series((b,), (1, -1 / a), order)
+    return series
+
+
+@st.composite
+def block_heavy_tables(draw):
+    """A table size and a series whose tables are full of blocks.
+
+    Geometric and lacunary series and sums of 1-3 poles are rational, so
+    every cell past their degrees is singular; the series is cut at
+    Lmax + Mmax or a little past it, so flags out of reach occur too.
+    """
+    Lmax, Mmax = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    order = Lmax + Mmax + draw(st.sampled_from((0, 0, 1, 2)))
+    kind = draw(st.sampled_from(("geometric", "lacunary", "poles")))
+    c = draw(st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4)))
+    if kind == "geometric":
+        series = rational_series((1,), (1, -c), order)
+    elif kind == "lacunary":
+        k = draw(st.integers(2, 4))
+        series = rational_series((1,), (1,) + (0,) * (k - 1) + (-c,), order)
+    else:
+        series = pole_sum(draw, draw(st.integers(1, 3)), order)
+    return series, Lmax, Mmax
+
+
+@st.composite
+def grid_series(draw):
+    """exp plus 0-3 poles, or a lacunary series whose zero pivots force the fallback."""
+    order = 22
+    if draw(st.booleans()):
+        return builtin_series("exp", order) + pole_sum(draw, draw(st.integers(0, 3)), order)
+    k = draw(st.integers(2, 4))
+    c = draw(st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4)))
+    return rational_series((1,), (1,) + (0,) * (k - 1) + (-c,), order)
+
+
+class TestFlagsAndGrids:
+    @settings
+    @hypothesis.given(block_heavy_tables())
+    def test_table_flags_are_four_hankel_windows(self, case):
+        """normal is the four-window definition, with dets by sympy over QQ."""
+        series, Lmax, Mmax = case
+        table = pade_table(series, Lmax, Mmax)
+        dets = {}
+
+        def vanishes(m, p):
+            if (m, p) not in dets:
+                dets[(m, p)] = p > 0 and sympy_det(padded_window(series, m, p)) == 0
+            return dets[(m, p)]
+
+        for (L, M), entry in table.entries.items():
+            if series.order < L + M + 1:
+                assert entry.normal is None, (L, M)
+                continue
+            windows = ((L - M + 1, M), (L - M + 2, M), (L - M, M + 1), (L - M + 1, M + 1))
+            assert entry.normal is not any(vanishes(m, p) for m, p in windows), (L, M)
+
+    @settings
+    @hypothesis.given(grid_series())
+    def test_grid_satisfies_sylvester_identity(self, series):
+        """H_m^(k+1) H_{m+2}^(k-1) = H_m^(k) H_{m+2}^(k) - (H_{m+1}^(k))^2."""
+        grid = hankel_grid(series, 8, 7)
+        H = [[F(1)] + row for row in grid]  # H[m][k] = H_m^(k), H_m^(0) = 1
+        for m in range(len(H) - 2):
+            for k in range(1, len(H[m]) - 1):
+                assert H[m][k + 1] * H[m + 2][k - 1] == (
+                    H[m][k] * H[m + 2][k] - H[m + 1][k] ** 2
+                ), (m, k)
 
 
 class TestHadamard:
