@@ -150,6 +150,15 @@ def pole_sum(draw, count, order):
     return series
 
 
+ratios = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+def lacunary(draw, order):
+    """1/(1 - c z^k) for k = 2..4: its zero coefficients make zero pivots."""
+    k = draw(st.integers(2, 4))
+    return rational_series((1,), (1,) + (0,) * (k - 1) + (-draw(ratios),), order)
+
+
 @st.composite
 def block_heavy_tables(draw):
     """A table size and a series whose tables are full of blocks.
@@ -161,12 +170,10 @@ def block_heavy_tables(draw):
     Lmax, Mmax = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     order = Lmax + Mmax + draw(st.sampled_from((0, 0, 1, 2)))
     kind = draw(st.sampled_from(("geometric", "lacunary", "poles")))
-    c = draw(st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4)))
     if kind == "geometric":
-        series = rational_series((1,), (1, -c), order)
+        series = rational_series((1,), (1, -draw(ratios)), order)
     elif kind == "lacunary":
-        k = draw(st.integers(2, 4))
-        series = rational_series((1,), (1,) + (0,) * (k - 1) + (-c,), order)
+        series = lacunary(draw, order)
     else:
         series = pole_sum(draw, draw(st.integers(1, 3)), order)
     return series, Lmax, Mmax
@@ -178,9 +185,7 @@ def grid_series(draw):
     order = 22
     if draw(st.booleans()):
         return builtin_series("exp", order) + pole_sum(draw, draw(st.integers(0, 3)), order)
-    k = draw(st.integers(2, 4))
-    c = draw(st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4)))
-    return rational_series((1,), (1,) + (0,) * (k - 1) + (-c,), order)
+    return lacunary(draw, order)
 
 
 class TestFlagsAndGrids:
