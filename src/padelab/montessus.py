@@ -525,9 +525,13 @@ def run_row_experiment(
     series = spec.taylor(n_max + p)
     # f's rational part, converted at the first entry that needs the grid
     f_prepared = None
+    # the roots of the last denominator found; an entry whose denominator
+    # equals it, as every exact-recovery entry of a rational row does,
+    # reuses them
+    den, roots = None, None
     records = []
     for n in range(n_min, n_max + 1):
-        entry = pade_approximant(series.truncated(n + p), n, p)
+        entry = pade_approximant(series, n, p)
         flags = list(report_flags)
         if entry.is_block:
             records.append(
@@ -536,7 +540,9 @@ def run_row_experiment(
             )
             continue
         exact = spec.is_exactly_rational and entry.fraction.equivalent_to(spec.rational)
-        roots = find_poly_roots(entry.fraction.den)
+        if entry.fraction.den != den:
+            den = entry.fraction.den
+            roots = find_poly_roots(den)
         matching = pole_match(roots, expected)
         matches = matching.matches
         if exact:

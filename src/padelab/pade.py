@@ -23,10 +23,15 @@ fraction they repeat sits one step up-left of the square's corner. The
 table groups markers into those squares and reports them as blocks.
 
 Every determinant and linear solve here runs through one integer Bareiss
-kernel (Bareiss, Math. Comp. 22, 1968). Only the cells one step past a
-table's last row and column, which it does not solve, get a determinant
-for its flags. A Hankel grid eliminates each offset once without pivoting:
-the pivots of window (m, P) are the leading minors H_m^(1..P).
+kernel (Bareiss, Math. Comp. 22, 1968), on rows sliced out of one integer
+image of the series coefficients: the coefficients scaled by the lcm of
+their denominators. A table takes one image for all its cells, a Hankel
+grid one per offset, and a lone approximant, Hankel determinant or
+Hadamard polynomial one for its own window. Only the cells one step past
+a table's last row and column, which it does not solve, get an
+elimination for its flags. A Hankel grid eliminates each offset once
+without pivoting: the pivots of window (m, P) are the leading minors
+H_m^(1..P), each times a power of the image's scale.
 """
 
 from __future__ import annotations
@@ -51,14 +56,22 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # Exact linear algebra: one integer Bareiss kernel
 #
-# Each row is scaled to integers by the lcm of its denominators, so the
-# elimination runs on Python ints and every Bareiss update is an exact
+# The elimination runs on Python ints, so every Bareiss update is an exact
 # floor division, with no gcd per step. Pivot k of the elimination is the
-# leading (k+1)-minor of the scaled, row-permuted matrix (Sylvester's
-# identity, Bareiss 1968). exact_det divides the last pivot by the product
-# of the row scales; exact_solve back-substitutes in integers; hankel_grid
-# runs the kernel without pivoting and reads every pivot as a leading
-# minor.
+# leading (k+1)-minor of the row-permuted integer matrix (Sylvester's
+# identity, Bareiss 1968).
+#
+# One rule builds the integer rows of every Toeplitz and Hankel system the
+# package solves: scale the series coefficients the system reads to
+# integers once, by the lcm of their denominators, and slice the rows out
+# of that image. pade_table takes one image of its series, hankel_grid one
+# per offset, and pade_approximant, hankel_det and hadamard_polynomial one
+# per call. Scaling every row by the same integer changes neither the
+# solution nor whether the matrix is singular; a determinant of size p is
+# the signed last pivot over scale**p, and a Hankel grid, which runs the
+# kernel without pivoting, reads pivot k as the leading minor of size k+1
+# times scale**(k+1). The public exact_det and exact_solve take general
+# rational matrices and scale each row by its own lcm.
 
 
 def _integer_rows(matrix) -> tuple[list[list[int]], list[int]]:
@@ -96,6 +109,25 @@ def _bareiss(a: list[list[int]], pivoting: bool = True) -> tuple[int, list[int]]
     return sign, pivots
 
 
+def _solve_integer_rows(a: list[list[int]]) -> Optional[tuple[int, list[int]]]:
+    """Solve n augmented integer rows in place: (d, y) with solution y / d.
+
+    None when the square part is singular.
+    """
+    n = len(a)
+    _, pivots = _bareiss(a)
+    det = pivots[-1]
+    if det == 0:
+        return None
+    # det * x is integral (Cramer), so back substitution stays in integers
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return det, y
+
+
 def exact_det(matrix: list[list[Fraction]]) -> Fraction:
     """Determinant by integer Bareiss elimination; the empty matrix gives 1."""
     n = len(matrix)
@@ -119,16 +151,10 @@ def exact_solve(
     if any(len(row) != n + 1 for row in aug):
         raise InputError("system needs a square matrix and matching rhs")
     a, _ = _integer_rows(aug)
-    _, pivots = _bareiss(a)
-    det = pivots[-1]
-    if det == 0:
+    sol = _solve_integer_rows(a)
+    if sol is None:
         return None
-    # det * x is integral (Cramer), so back substitution stays in integers
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
-        y[i] = acc // row[i]
+    det, y = sol
     return [Fraction(v, det) for v in y]
 
 
@@ -154,22 +180,22 @@ class HankelSpec:
         return self.m + 2 * self.p - 2
 
 
-def _padded_coefficient(series: PowerSeries, i: int) -> Fraction:
-    """Series coefficient with zeros below index 0."""
-    if i < 0:
-        return Fraction(0)
-    return series.coefficient(i)
-
-
-def _hankel_rows(series: PowerSeries, m: int, p: int) -> list[list[Fraction]]:
-    """The p x p window [s_{m+i+j}], zero-padded below index 0."""
-    top = m + 2 * p - 2
+def _window_image(series: PowerSeries, m: int, p: int, top: int) -> tuple[list[int], int]:
+    """Integer image of s_m .. s_top for window (m, p), zeros below index 0, and its scale."""
     if top > series.order:
         raise InsufficientCoefficientsError(
             f"window (m={m}, p={p}) needs coefficient {top}, "
             f"series stops at {series.order}"
         )
-    return [[_padded_coefficient(series, m + i + j) for j in range(p)] for i in range(p)]
+    ints, scale = integer_vector(series.coeffs[max(m, 0) : max(top + 1, 0)])
+    return [0] * (top + 1 - m - len(ints)) + ints, scale
+
+
+def _window_det(series: PowerSeries, m: int, p: int) -> Fraction:
+    """det [s_{m+i+j}], i, j < p, from the window's own integer image."""
+    img, scale = _window_image(series, m, p, m + 2 * p - 2)
+    sign, pivots = _bareiss([img[i : i + p] for i in range(p)])
+    return Fraction(sign * pivots[-1], scale**p)
 
 
 def hankel_det(series: PowerSeries, m: int, p: int) -> Fraction:
@@ -185,7 +211,7 @@ def hankel_det(series: PowerSeries, m: int, p: int) -> Fraction:
             raise InputError(f"window offset must be a nonnegative integer, got {m!r}")
         return Fraction(1)
     HankelSpec(m, p).validate()
-    return exact_det(_hankel_rows(series, m, p))
+    return _window_det(series, m, p)
 
 
 def hankel_grid(series: PowerSeries, m_max: int, p_max: int) -> list[list[Fraction]]:
@@ -194,18 +220,19 @@ def hankel_grid(series: PowerSeries, m_max: int, p_max: int) -> list[list[Fracti
         raise InputError("grid needs m_max >= 0 and p_max >= 1")
     grid = []
     for m in range(m_max + 1):
-        # pivot k of window (m, size) is H_m^(k+1) times the first k+1 row
-        # scales; a zero pivot ends the elimination, and the windows past it
-        # (or past the series) get a direct determinant
+        # pivot k of window (m, size) is H_m^(k+1) times scale**(k+1); a zero
+        # pivot ends the elimination, and the windows past it (or past the
+        # series) get a direct determinant
         size = min(p_max, (series.order - m) // 2 + 1)
-        row, scale = [], 1
+        row = []
         if size > 0:
-            a, scales = _integer_rows(_hankel_rows(series, m, size))
-            for pivot, row_scale in zip(_bareiss(a, pivoting=False)[1], scales):
-                scale *= row_scale
-                row.append(Fraction(pivot, scale))
+            img, scale = _window_image(series, m, size, m + 2 * size - 2)
+            power = 1
+            for pivot in _bareiss([img[i : i + size] for i in range(size)], pivoting=False)[1]:
+                power *= scale
+                row.append(Fraction(pivot, power))
         for p in range(len(row) + 1, p_max + 1):
-            row.append(exact_det(_hankel_rows(series, m, p)))
+            row.append(_window_det(series, m, p))
         grid.append(row)
     return grid
 
@@ -238,12 +265,38 @@ class PadeEntry:
         return (self.L, self.M) if self.fraction is None else None
 
 
-def _toeplitz_rows(series: PowerSeries, L: int, M: int) -> list[list[Fraction]]:
-    """The M x M matrix [s_{L+1+r-c}] of the [L/M] denominator system."""
-    return [
-        [_padded_coefficient(series, L + 1 + r - c) for c in range(1, M + 1)]
-        for r in range(M)
-    ]
+def _toeplitz_ints(ints: list[int], L: int, M: int) -> list[list[int]]:
+    """Rows [s_{L+r}, s_{L+r-1}, .., s_{L+r-M+1}], r < M, of the [L/M] matrix.
+
+    Read from the integer image of the series; zeros below index 0.
+    """
+    rows = []
+    for top in range(L, L + M):
+        lo = top - M + 1
+        row = ints[lo : top + 1] if lo >= 0 else [0] * -lo + ints[: top + 1]
+        row.reverse()
+        rows.append(row)
+    return rows
+
+
+def _approximant(series: PowerSeries, image: tuple[list[int], int], L: int, M: int) -> PadeEntry:
+    """[L/M] from the integer image (ints, scale) of c_0 .. c_{L+M} or more."""
+    if M == 0:
+        num = Polynomial(series.coeffs[: L + 1])
+        return PadeEntry(L, M, RationalFunction(num, Polynomial.one()))
+    ints, scale = image
+    rows = _toeplitz_ints(ints, L, M)
+    for row, c in zip(rows, ints[L + 1 : L + M + 1]):
+        row.append(-c)
+    sol = _solve_integer_rows(rows)
+    if sol is None:
+        return PadeEntry(L, M, None)
+    # the denominator is (det, y_0, .., y_{M-1}) / det
+    det, y = sol
+    den = Polynomial([Fraction(1)] + [Fraction(v, det) for v in y])
+    total = det * scale
+    num = Polynomial([Fraction(c, total) for c in convolve([det] + y, ints[: L + 1], L + 1)])
+    return PadeEntry(L, M, RationalFunction(num, den))
 
 
 def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
@@ -263,19 +316,7 @@ def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
             f"[{L}/{M}] needs coefficients through {L + M}, "
             f"series stops at {series.order}"
         )
-    if M == 0:
-        num = Polynomial(series.coeffs[: L + 1])
-        return PadeEntry(L, M, RationalFunction(num, Polynomial.one()))
-    rhs = [-series.coefficient(L + 1 + r) for r in range(M)]
-    sol = exact_solve(_toeplitz_rows(series, L, M), rhs)
-    if sol is None:
-        return PadeEntry(L, M, None)
-    den_coeffs = [Fraction(1)] + sol
-    den_ints, den_scale = integer_vector(den_coeffs)
-    series_ints, series_scale = integer_vector(series.coeffs[: L + 1])
-    scale = den_scale * series_scale
-    num = Polynomial([Fraction(c, scale) for c in convolve(den_ints, series_ints, L + 1)])
-    return PadeEntry(L, M, RationalFunction(num, Polynomial(den_coeffs)))
+    return _approximant(series, integer_vector(series.coeffs[: L + M + 1]), L, M)
 
 
 def order_of_contact(series: PowerSeries, rf: RationalFunction) -> Optional[int]:
@@ -315,17 +356,12 @@ def hadamard_polynomial(series: PowerSeries, m: int, p: int) -> Polynomial:
         raise InputError(f"window offset must be an integer, got {m!r}")
     if p == 0:
         return Polynomial.one()
-    top = m + 2 * p - 1
-    if top > series.order:
-        raise InsufficientCoefficientsError(
-            f"window (m={m}, p={p}) needs coefficient {top}, "
-            f"series stops at {series.order}"
-        )
-    rhs = [-_padded_coefficient(series, m + r + p) for r in range(p)]
-    coeffs = exact_solve(_hankel_rows(series, m, p), rhs)
-    if coeffs is None:
+    img, _ = _window_image(series, m, p, m + 2 * p - 1)
+    sol = _solve_integer_rows([img[r : r + p] + [-img[r + p]] for r in range(p)])
+    if sol is None:
         raise NonNormalWindowError(f"non-normal window (m={m}, p={p})")
-    return Polynomial(coeffs + [Fraction(1)])
+    det, y = sol
+    return Polynomial([Fraction(v, det) for v in y] + [Fraction(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +411,20 @@ def pade_table(series: PowerSeries, Lmax: int, Mmax: int) -> PadeTable:
             f"table to ({Lmax}, {Mmax}) needs coefficients through {Lmax + Mmax}, "
             f"series stops at {series.order}"
         )
+    # one integer image of every coefficient a cell or an edge matrix reads
+    image = integer_vector(series.coeffs[: Lmax + Mmax + 2])
     entries = {
-        (L, M): pade_approximant(series, L, M)
+        (L, M): _approximant(series, image, L, M)
         for L in range(Lmax + 1)
         for M in range(Mmax + 1)
     }
     singular = {cell for cell, entry in entries.items() if entry.is_block}
     # the cells one step past the last row and column are not solved; each
-    # gets a determinant where its matrix fits the series
-    edge = [(Lmax + 1, M) for M in range(Mmax + 2)] + [(L, Mmax + 1) for L in range(Lmax + 1)]
+    # gets an elimination where its matrix fits the series, and is singular
+    # when the last pivot is 0 (the empty matrix of M = 0 never is)
+    edge = [(Lmax + 1, M) for M in range(1, Mmax + 2)] + [(L, Mmax + 1) for L in range(Lmax + 1)]
     for L, M in edge:
-        if L + M - 1 <= series.order and exact_det(_toeplitz_rows(series, L, M)) == 0:
+        if L + M - 1 <= series.order and _bareiss(_toeplitz_ints(image[0], L, M))[1][-1] == 0:
             singular.add((L, M))
     for (L, M), entry in entries.items():
         if series.order >= L + M + 1:

@@ -5,8 +5,12 @@ exact_det is checked against sympy's determinant over QQ, exact_solve by
 its residuals, every Hankel grid entry against a determinant computed
 directly for that window, and every table normality flag, which the table
 reads from its own singular solves, against the four governing Hankel
-determinants computed by sympy.
+determinants computed by sympy. Tables and grids, which slice their
+systems out of one integer image of the series, are checked entry by
+entry against sympy's solves and determinants of the Fraction systems.
 """
+
+import re
 
 from fractions import Fraction as F
 
@@ -21,10 +25,11 @@ from padelab import (
     exact_solve,
     hadamard_polynomial,
     hankel_grid,
+    pade_approximant,
     pade_table,
     series_of_rational_function,
 )
-from padelab.errors import InputError, NonNormalWindowError
+from padelab.errors import InputError, InsufficientCoefficientsError, NonNormalWindowError
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
@@ -60,12 +65,14 @@ def sympy_det(a):
     return F(int(d.p), int(d.q))
 
 
+def padded(series, i):
+    """Series coefficient with zeros below index 0."""
+    return series.coefficient(i) if i >= 0 else F(0)
+
+
 def padded_window(series, m, p):
     """The p x p Hankel window at offset m, zeros below index 0."""
-    return [
-        [series.coefficient(m + i + j) if m + i + j >= 0 else F(0) for j in range(p)]
-        for i in range(p)
-    ]
+    return [[padded(series, m + i + j) for j in range(p)] for i in range(p)]
 
 
 def even_series(order):
@@ -220,6 +227,111 @@ class TestFlagsAndGrids:
                 assert H[m][k + 1] * H[m + 2][k - 1] == (
                     H[m][k] * H[m + 2][k] - H[m + 1][k] ** 2
                 ), (m, k)
+
+
+def q(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def sympy_pade(series, L, M):
+    """(num, den) of [L/M] by sympy's LU solve over QQ of the Fraction
+    Toeplitz system [s_{L+1+r-c}] x = -s_{L+1+r}; None when it is singular."""
+    den = [F(1)]
+    if M:
+        a = sympy.Matrix([[q(padded(series, L + 1 + r - c)) for c in range(1, M + 1)]
+                          for r in range(M)])
+        b = sympy.Matrix([q(-padded(series, L + 1 + r)) for r in range(M)])
+        try:
+            x = a.LUsolve(b)
+        except sympy.matrices.exceptions.NonInvertibleMatrixError:
+            return None
+        den += [F(int(v.p), int(v.q)) for v in x]
+    num = [sum(den[j] * padded(series, k - j) for j in range(min(k, M) + 1)) for k in range(L + 1)]
+    return Polynomial(num), Polynomial(den)
+
+
+mixed = st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 4, 7, 9, 10, 12)))
+
+
+def image_series(draw, order):
+    """Series whose integer image needs a real scale, or has many zeros.
+
+    Mixed denominators, lacunary zeros in random or periodic places, exp
+    (factorial denominators) plus a pole, or 1/(1 - c z^k).
+    """
+    kind = draw(st.sampled_from(("mixed", "sparse", "periodic", "exp", "lacunary")))
+    if kind == "exp":
+        return builtin_series("exp", order) + pole_sum(draw, draw(st.integers(0, 1)), order)
+    if kind == "lacunary":
+        return lacunary(draw, order)
+    k = draw(st.integers(2, 3))
+    coeffs = []
+    for i in range(order + 1):
+        zero = (kind == "sparse" and draw(st.booleans())) or (kind == "periodic" and i % k)
+        coeffs.append(F(0) if zero else draw(mixed))
+    return PowerSeries(coeffs)
+
+
+@st.composite
+def image_tables(draw):
+    """A table size, with L < M - 1 cells, and a series cut near Lmax + Mmax,
+    sometimes short of it."""
+    Lmax, Mmax = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    order = max(0, Lmax + Mmax + draw(st.sampled_from((-2, -1, 0, 0, 1, 2))))
+    return image_series(draw, order), Lmax, Mmax
+
+
+@st.composite
+def image_grids(draw):
+    """A grid size and a series cut near its last window, sometimes short of it."""
+    m_max, p_max = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    order = max(0, m_max + 2 * p_max - 2 + draw(st.sampled_from((-3, -1, 0, 0, 1, 2, 3))))
+    return image_series(draw, order), m_max, p_max
+
+
+class TestIntegerImage:
+    @settings
+    @hypothesis.given(image_tables())
+    def test_table_matches_sympy_solves(self, case):
+        series, Lmax, Mmax = case
+        if series.order < Lmax + Mmax:
+            message = (f"table to ({Lmax}, {Mmax}) needs coefficients through "
+                       f"{Lmax + Mmax}, series stops at {series.order}")
+            with pytest.raises(InsufficientCoefficientsError, match=re.escape(message)):
+                pade_table(series, Lmax, Mmax)
+            return
+        table = pade_table(series, Lmax, Mmax)
+        for (L, M), entry in table.entries.items():
+            expected = sympy_pade(series, L, M)
+            if expected is None:
+                assert entry.is_block, (L, M)
+            else:
+                assert (entry.fraction.num, entry.fraction.den) == expected, (L, M)
+
+    @settings
+    @hypothesis.given(image_grids())
+    def test_grid_matches_sympy_dets(self, case):
+        series, m_max, p_max = case
+        windows = [(m, p) for m in range(m_max + 1) for p in range(1, p_max + 1)]
+        short = [(m, p) for m, p in windows if m + 2 * p - 2 > series.order]
+        if short:
+            # the first window past the series, in grid order, raises
+            m, p = short[0]
+            message = (f"window (m={m}, p={p}) needs coefficient {m + 2 * p - 2}, "
+                       f"series stops at {series.order}")
+            with pytest.raises(InsufficientCoefficientsError, match=re.escape(message)):
+                hankel_grid(series, m_max, p_max)
+            return
+        grid = hankel_grid(series, m_max, p_max)
+        for m, p in windows:
+            assert grid[m][p - 1] == sympy_det(padded_window(series, m, p)), (m, p)
+
+    @pytest.mark.parametrize("series", [exp_plus_pole(14), even_series(14)],
+                             ids=["exp+pole", "even"])
+    @pytest.mark.parametrize("L, M", [(0, 0), (0, 3), (1, 5), (3, 2), (4, 4), (6, 1)])
+    def test_approximant_reads_only_its_coefficients(self, series, L, M):
+        """Coefficients past L + M, here with other denominators, change nothing."""
+        assert pade_approximant(series, L, M) == pade_approximant(series.truncated(L + M), L, M)
 
 
 class TestHadamard:
