@@ -516,10 +516,7 @@ def _cmd_cf(args) -> tuple:
         target = cf.prefix(args.terms)
     elif args.terms is not None:
         target = cf.prefix(min(args.terms, cf.length))
-    doc = cf_to_document(target)
-    if getattr(target, "convergent_offset", 0):
-        doc["offset"] = target.convergent_offset
-    return doc, None, 0
+    return cf_to_document(target), None, 0
 
 
 def _cmd_row_cf(args) -> tuple:
@@ -527,10 +524,7 @@ def _cmd_row_cf(args) -> tuple:
     source = _series_arg(args.series)
     need = args.n_max + args.p
     series = _series_for(source, need, need)
-    cf = row_to_cf(series, args.p, args.n_min, args.n_max)
-    doc = cf_to_document(cf)
-    if cf.convergent_offset:
-        doc["offset"] = cf.convergent_offset
+    doc = cf_to_document(row_to_cf(series, args.p, args.n_min, args.n_max))
     doc["p"] = args.p
     doc["n_min"] = args.n_min
     doc["n_max"] = args.n_max

@@ -108,7 +108,9 @@ class ContinuedFraction:
 
     convergent_offset is 0 except for fractions built by cf_from_convergents
     from a pair list whose B_0 was not 1; those carry an artificial zero head
-    and reproduce the supplied pairs starting at convergent 1.
+    and reproduce the supplied pairs starting at convergent 1. Documents
+    carry a nonzero offset as their "offset" key: cf_to_document writes it
+    and parse_cf_document reads it back.
     """
 
     algebraic = False
@@ -525,33 +527,32 @@ def cf_to_document(cf: ContinuedFraction) -> dict:
     Numeric fractions with every partial numerator equal to 1 use the short
     {"q0", "terms"} form; general numeric ones use {"q0", "partials"} with
     ["p", "q"] entries; algebraic ones carry coefficient arrays instead of
-    rational literals.
+    rational literals. A nonzero convergent_offset is written as "offset"
+    in every form.
     """
     if cf.length is None:
         raise InputError("unbounded fraction: take a finite prefix first")
-    n = cf.length
-    if not cf.algebraic:
-        ps = [cf.partial(k) for k in range(1, n + 1)]
-        if all(p == 1 for p, _ in ps):
-            return {
-                "q0": format_rational(cf.q0),
-                "terms": [format_rational(q) for _, q in ps],
-            }
-        return {
-            "q0": format_rational(cf.q0),
-            "partials": [[format_rational(p), format_rational(q)] for p, q in ps],
-        }
-    return {
-        "q0": _poly_to_array(cf.q0),
-        "partials": [
-            [_poly_to_array(p), _poly_to_array(q)]
-            for p, q in (cf.partial(k) for k in range(1, n + 1))
-        ],
-    }
+    fmt = _poly_to_array if cf.algebraic else format_rational
+    partials = [cf.partial(k) for k in range(1, cf.length + 1)]
+    if not cf.algebraic and all(p == 1 for p, _ in partials):
+        doc = {"q0": fmt(cf.q0), "terms": [fmt(q) for _, q in partials]}
+    else:
+        doc = {"q0": fmt(cf.q0), "partials": [[fmt(p), fmt(q)] for p, q in partials]}
+    if cf.convergent_offset:
+        doc["offset"] = cf.convergent_offset
+    return doc
+
+
+def _array_to_poly(coeffs: list) -> Polynomial:
+    return Polynomial([parse_rational(c) for c in coeffs])
 
 
 def parse_cf_document(doc, path: str = "$") -> ContinuedFraction:
-    """Inverse of cf_to_document; accepts both numeric forms."""
+    """Inverse of cf_to_document; accepts both numeric forms.
+
+    An "offset" key, a nonnegative integer, becomes the fraction's
+    convergent_offset; without one the offset is 0.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("continued fraction document must be a JSON object", path)
     if "q0" not in doc:
@@ -565,43 +566,37 @@ def parse_cf_document(doc, path: str = "$") -> ContinuedFraction:
             terms = doc["terms"]
             if not isinstance(terms, list):
                 raise SchemaError("terms must be an array", f"{path}.terms")
-            return NumericCF(
+            cf = NumericCF(
                 parse_rational(q0),
                 [(Fraction(1), parse_rational(t)) for t in terms],
             )
-        partials = doc.get("partials", [])
-        if not isinstance(partials, list):
-            raise SchemaError("partials must be an array", f"{path}.partials")
-        if algebraic:
-            head = Polynomial([parse_rational(c) for c in q0])
+        else:
+            partials = doc.get("partials", [])
+            if not isinstance(partials, list):
+                raise SchemaError("partials must be an array", f"{path}.partials")
+            term = _array_to_poly if algebraic else parse_rational
+            # an algebraic head is read before the partials and a numeric one
+            # after them; that order fixes which fault a bad document reports
+            head = term(q0) if algebraic else None
             pairs = []
             for i, entry in enumerate(partials):
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise SchemaError(
                         "each partial must be a [p, q] pair", f"{path}.partials[{i}]"
                     )
-                p, q = entry
-                if not isinstance(p, list) or not isinstance(q, list):
+                if algebraic and not all(isinstance(t, list) for t in entry):
                     raise SchemaError(
                         "algebraic partials carry coefficient arrays",
                         f"{path}.partials[{i}]",
                     )
-                pairs.append(
-                    (
-                        Polynomial([parse_rational(c) for c in p]),
-                        Polynomial([parse_rational(c) for c in q]),
-                    )
-                )
-            return AlgebraicCF(head, pairs)
-        pairs = []
-        for i, entry in enumerate(partials):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise SchemaError(
-                    "each partial must be a [p, q] pair", f"{path}.partials[{i}]"
-                )
-            pairs.append((parse_rational(entry[0]), parse_rational(entry[1])))
-        return NumericCF(parse_rational(q0), pairs)
+                pairs.append((term(entry[0]), term(entry[1])))
+            cf = AlgebraicCF(head, pairs) if algebraic else NumericCF(term(q0), pairs)
     except InputError as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(str(exc), path) from exc
+    offset = doc.get("offset", 0)
+    if type(offset) is not int or offset < 0:
+        raise SchemaError("offset must be a nonnegative integer", f"{path}.offset")
+    cf.convergent_offset = offset
+    return cf

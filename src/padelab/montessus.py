@@ -57,10 +57,9 @@ from .errors import (
     InputError,
     NearPoleError,
     OriginPoleError,
-    RowNotNormalError,
     SchemaError,
 )
-from .pade import pade_approximant, row_sequence
+from .pade import _normal_row, pade_approximant
 
 GAP_TOLERANCE_REL = 1e-9
 DECLARED_POLE_RESIDUAL_REL = 1e-6
@@ -623,13 +622,7 @@ def telescoped_row_series(series: PowerSeries, p: int, n_min: int, n_max: int, z
     with any other z it evaluates in floating arithmetic. Blocks make the
     telescoping undefined over the range.
     """
-    entries = row_sequence(series, p, n_min, n_max)
-    for entry in entries:
-        if entry.is_block:
-            raise RowNotNormalError(
-                f"row {p} is not normal over {n_min}..{n_max}: "
-                f"block at [{entry.L}/{entry.M}]"
-            )
+    entries = _normal_row(series, p, n_min, n_max)
     exact_point = isinstance(z, (int, Fraction)) and not isinstance(z, bool)
     if exact_point:
         values = [e.fraction(Fraction(z)) for e in entries]

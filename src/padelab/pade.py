@@ -480,6 +480,18 @@ def row_sequence(
     return [pade_approximant(series, n, p) for n in range(n_min, n_max + 1)]
 
 
+def _normal_row(series: PowerSeries, p: int, n_min: int, n_max: int) -> list[PadeEntry]:
+    """row_sequence, with RowNotNormalError at the first block in the range."""
+    entries = row_sequence(series, p, n_min, n_max)
+    for entry in entries:
+        if entry.is_block:
+            raise RowNotNormalError(
+                f"row {p} is not normal over {n_min}..{n_max}: "
+                f"block at [{entry.L}/{entry.M}]"
+            )
+    return entries
+
+
 def row_to_cf(series: PowerSeries, p: int, n_min: int, n_max: int) -> AlgebraicCF:
     """Algebraic continued fraction whose convergents are a table row.
 
@@ -488,12 +500,6 @@ def row_to_cf(series: PowerSeries, p: int, n_min: int, n_max: int) -> AlgebraicC
     non-normal and are rejected; see cf_from_convergents for the offset
     convention when the first denominator is not the constant 1.
     """
-    entries = row_sequence(series, p, n_min, n_max)
-    for entry in entries:
-        if entry.is_block:
-            raise RowNotNormalError(
-                f"row {p} is not normal over {n_min}..{n_max}: "
-                f"block at [{entry.L}/{entry.M}]"
-            )
+    entries = _normal_row(series, p, n_min, n_max)
     pairs = [(e.fraction.num, e.fraction.den) for e in entries]
     return cf_from_convergents(pairs)

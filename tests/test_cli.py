@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from padelab import cli, errors
+from padelab import builtin_series, cli, errors, row_to_cf
 from padelab.cli import main
 from padelab.core.floats import DEFAULT_PRECISION, get_precision
 from padelab.core.scalars import format_rational
@@ -186,6 +186,28 @@ class TestCf:
         code, got = run_json(capsys, "cf", "--input", doc, "--convergent", "3")
         assert code == 0
         assert got["reduced"] == "35/8"
+
+    def test_input_keeps_row_cf_offset(self, capsys):
+        argv = ["row-cf", "--series", "exp", "--p", "1", "--n-min", "0", "--n-max", "2"]
+        _, row = run_json(capsys, *argv)
+        code, doc = run_json(capsys, "cf", "--input", json.dumps(row))
+        assert code == 0
+        assert doc["offset"] == 1
+        assert doc == {key: row[key] for key in ("q0", "partials", "offset")}
+        original = row_to_cf(builtin_series("exp", 3), 1, 0, 2)
+        for k in range(4):
+            code, got = run_json(capsys, "cf", "--input", json.dumps(row),
+                                 "--convergent", str(k))
+            assert code == 0
+            assert [got["A"], got["B"]] == [
+                [format_rational(c) for c in term.coeffs] for term in original.convergent(k)
+            ]
+
+    @pytest.mark.parametrize("offset", [-1, True, "1"])
+    def test_input_rejects_bad_offset(self, capsys, offset):
+        doc = json.dumps({"q0": "0", "partials": [["1", "2"]], "offset": offset})
+        assert main(["cf", "--input", doc]) == 2
+        assert "(at $.offset)" in capsys.readouterr().err
 
     def test_sources_are_exclusive(self, capsys):
         code, _ = run(capsys, "cf", "--euclid", "1/2", "--sqrt", "2", "--terms", "3")

@@ -317,6 +317,9 @@ class TestDocuments:
             {"q0": ["1"], "terms": ["2"]},
             {"q0": "1", "terms": ["2.5"]},
             {"q0": ["1"], "partials": [["1", "2"]]},
+            {"q0": "1", "terms": ["2"], "offset": -1},
+            {"q0": "1", "partials": [["1", "2"]], "offset": True},
+            {"q0": ["1"], "partials": [[["1"], ["2"]]], "offset": "1"},
         ],
     )
     def test_rejects_bad_documents(self, doc):
