@@ -550,8 +550,9 @@ def _array_to_poly(coeffs: list) -> Polynomial:
 def parse_cf_document(doc, path: str = "$") -> ContinuedFraction:
     """Inverse of cf_to_document; accepts both numeric forms.
 
-    An "offset" key, a nonnegative integer, becomes the fraction's
-    convergent_offset; without one the offset is 0.
+    An "offset" key becomes the fraction's convergent_offset; without one
+    the offset is 0. Only the offsets cf_from_convergents makes are read:
+    0, or 1 on a fraction with a zero head.
     """
     if not isinstance(doc, dict):
         raise SchemaError("continued fraction document must be a JSON object", path)
@@ -596,7 +597,7 @@ def parse_cf_document(doc, path: str = "$") -> ContinuedFraction:
             raise
         raise SchemaError(str(exc), path) from exc
     offset = doc.get("offset", 0)
-    if type(offset) is not int or offset < 0:
-        raise SchemaError("offset must be a nonnegative integer", f"{path}.offset")
+    if type(offset) is not int or offset not in (0, 1) or (offset and cf.q0):
+        raise SchemaError("offset must be 0, or 1 with a zero q0", f"{path}.offset")
     cf.convergent_offset = offset
     return cf

@@ -619,8 +619,8 @@ def telescoped_row_series(series: PowerSeries, p: int, n_min: int, n_max: int, z
     R_{n_min} and adds the differences R_{n+1} - R_n. Its partial sums are
     exactly the entries again; with an exact rational z this function
     returns Fractions whose telescoping identity holds bit for bit, and
-    with any other z it evaluates in floating arithmetic. Blocks make the
-    telescoping undefined over the range.
+    with any other z it evaluates in floating arithmetic. A row that is not
+    normal over the range, as row_to_cf judges it, is rejected.
     """
     entries = _normal_row(series, p, n_min, n_max)
     exact_point = isinstance(z, (int, Fraction)) and not isinstance(z, bool)

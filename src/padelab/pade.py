@@ -481,10 +481,15 @@ def row_sequence(
 
 
 def _normal_row(series: PowerSeries, p: int, n_min: int, n_max: int) -> list[PadeEntry]:
-    """row_sequence, with RowNotNormalError at the first block in the range."""
+    """row_sequence, with RowNotNormalError at the first entry inside a block.
+
+    Along a block's top row the systems are nonsingular but the entries
+    repeat. A nonsingular system's one solution is the reduced approximant,
+    so a repeat shows as a pair equal to the one before it.
+    """
     entries = row_sequence(series, p, n_min, n_max)
-    for entry in entries:
-        if entry.is_block:
+    for entry, before in zip(entries, [None] + entries):
+        if entry.is_block or (before is not None and entry.fraction == before.fraction):
             raise RowNotNormalError(
                 f"row {p} is not normal over {n_min}..{n_max}: "
                 f"block at [{entry.L}/{entry.M}]"

@@ -203,9 +203,9 @@ class TestCf:
                 [format_rational(c) for c in term.coeffs] for term in original.convergent(k)
             ]
 
-    @pytest.mark.parametrize("offset", [-1, True, "1"])
-    def test_input_rejects_bad_offset(self, capsys, offset):
-        doc = json.dumps({"q0": "0", "partials": [["1", "2"]], "offset": offset})
+    @pytest.mark.parametrize("q0, offset", [("0", -1), ("0", True), ("0", "1"), ("0", 2), ("3", 1)])
+    def test_input_rejects_bad_offset(self, capsys, q0, offset):
+        doc = json.dumps({"q0": q0, "partials": [["1", "2"]], "offset": offset})
         assert main(["cf", "--input", doc]) == 2
         assert "(at $.offset)" in capsys.readouterr().err
 

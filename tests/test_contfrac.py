@@ -26,6 +26,7 @@ from padelab.errors import (
     DegenerateSequenceError,
     IndeterminateTruncationError,
     InputError,
+    SchemaError,
     UnknownBuiltinError,
 )
 
@@ -320,8 +321,20 @@ class TestDocuments:
             {"q0": "1", "terms": ["2"], "offset": -1},
             {"q0": "1", "partials": [["1", "2"]], "offset": True},
             {"q0": ["1"], "partials": [[["1"], ["2"]]], "offset": "1"},
+            {"q0": "0", "terms": ["2"], "offset": 2},
+            {"q0": "3", "partials": [["1", "2"]], "offset": 1},
+            {"q0": ["1"], "partials": [[["1"], ["2"]]], "offset": 1},
         ],
     )
     def test_rejects_bad_documents(self, doc):
         with pytest.raises(InputError):
             parse_cf_document(doc)
+
+    @pytest.mark.parametrize(
+        "q0, partial", [("0", ["2", "3"]), (["0"], [["2"], ["3"]]), ([], [["2"], ["3"]])]
+    )
+    def test_offset_on_zero_head(self, q0, partial):
+        doc = {"q0": q0, "partials": [partial]}
+        assert parse_cf_document({**doc, "offset": 1}).convergent_offset == 1
+        with pytest.raises(SchemaError, match=r"\(at \$\.offset\)"):
+            parse_cf_document({**doc, "offset": 2})

@@ -335,6 +335,12 @@ class TestTelescoping:
         with pytest.raises(RowNotNormalError):
             telescoped_row_series(series, 1, 0, 3, F(1, 4))
 
+    def test_repeated_entry_rejected(self):
+        # the Taylor sums of 1/(1 - z^2) repeat: [0/0] = [1/0] = 1
+        series = spec_of(EVEN_PAIR).taylor(6)
+        with pytest.raises(RowNotNormalError, match=r"block at \[1/0\]"):
+            telescoped_row_series(series, 0, 0, 4, F(1, 4))
+
 
 class TestReports:
     def make_report(self):

@@ -308,6 +308,15 @@ class TestRows:
         with pytest.raises(RowNotNormalError):
             row_to_cf(one_over_one_minus_z2(6), 1, 0, 3)
 
+    def test_repeated_entry_rejected(self):
+        # exp + 2/(1 + z/2) has c_1 = 0, so [0/0] = [1/0] = 3: the top row of
+        # a block, where the systems are nonsingular but the entries repeat
+        s = builtin_series("exp", 4) + series_of_rational_function(rational((2,), (1, F(1, 2))), 4)
+        assert s.coeffs[1] == 0
+        with pytest.raises(RowNotNormalError, match=r"block at \[1/0\]"):
+            row_to_cf(s, 0, 0, 1)
+        assert row_to_cf(s, 0, 1, 3).length == 2
+
     def test_bad_range_rejected(self):
         s = builtin_series("exp", 6)
         with pytest.raises(InputError):

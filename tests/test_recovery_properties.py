@@ -6,9 +6,10 @@ degree up to 2 make the determinants products of non-monomial partial
 numerators, so the recovery's general exact division runs as well as its
 monomial shift. On Pade rows of exp plus rational poles, the determinants
 are monomials (the Frobenius identity), and convergent k + offset of the
-recovered fraction is row entry k as an unreduced pair. Every recovered
-fraction survives its document form: parse_cf_document(cf_to_document(cf))
-keeps the convergent offset and every convergent pair.
+recovered fraction is row entry k as an unreduced pair. Fractions recovered
+from scaled pairs and from rows survive their document form:
+parse_cf_document(cf_to_document(cf)) keeps the convergent offset and
+every convergent pair.
 """
 
 from fractions import Fraction as F
@@ -28,7 +29,7 @@ from padelab import (
     row_to_cf,
     series_of_rational_function,
 )
-from padelab.errors import DegenerateSequenceError
+from padelab.errors import RowNotNormalError
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -47,31 +48,16 @@ def partials_of(cf):
     return [cf.partial(k) for k in range(1, cf.length + 1)]
 
 
-def assert_document_round_trip(cf):
-    back = parse_cf_document(cf_to_document(cf))
-    assert back.convergent_offset == cf.convergent_offset
-    assert back.convergent_pairs(cf.length) == cf.convergent_pairs(cf.length)
-
-
 @settings
 @hypothesis.given(
-    rationals,
-    st.lists(st.tuples(nonzero_rationals, rationals), min_size=1, max_size=7),
-    st.one_of(st.just(F(1)), nonzero_rationals),
+    rationals, st.lists(st.tuples(nonzero_rationals, rationals), min_size=1, max_size=7)
 )
-def test_numeric_round_trip(q0, partials, scale):
-    # scale != 1 gives B_0 != 1: a zero head, and pair k at convergent k + 1
-    hypothesis.assume(scale == 1 or q0 != 0)
+def test_numeric_round_trip(q0, partials):
     cf = NumericCF(q0, partials)
-    pairs = [(scale * a, scale * b) for a, b in cf.convergent_pairs(len(partials))]
-    back = cf_from_convergents(pairs)
-    offset = 0 if scale == 1 else 1
-    assert back.convergent_offset == offset
-    assert [tuple(pair) for pair in back.convergent_pairs(back.length)[offset:]] == pairs
-    if not offset:
-        assert back.q0 == q0
-        assert partials_of(back) == partials_of(cf)
-    assert_document_round_trip(back)
+    back = cf_from_convergents(cf.convergent_pairs(len(partials)))
+    assert back.convergent_offset == 0
+    assert back.q0 == q0
+    assert partials_of(back) == partials_of(cf)
 
 
 @settings
@@ -85,6 +71,28 @@ def test_algebraic_round_trip_degree_two(q0, partials):
     assert back.convergent_offset == 0
     assert back.q0 == cf.q0
     assert partials_of(back) == partials_of(cf)
+
+
+def assert_document_round_trip(cf):
+    back = parse_cf_document(cf_to_document(cf))
+    assert back.convergent_offset == cf.convergent_offset
+    assert back.convergent_pairs(cf.length) == cf.convergent_pairs(cf.length)
+
+
+@settings
+@hypothesis.given(
+    nonzero_rationals,
+    st.lists(st.tuples(nonzero_rationals, rationals), min_size=1, max_size=7),
+    nonzero_rationals,
+)
+def test_scaled_pairs_round_trip(q0, partials, scale):
+    # scale != 1 gives B_0 != 1: a zero head, and pair k at convergent k + 1
+    cf = NumericCF(q0, partials)
+    pairs = [(scale * a, scale * b) for a, b in cf.convergent_pairs(len(partials))]
+    back = cf_from_convergents(pairs)
+    offset = 0 if scale == 1 else 1
+    assert back.convergent_offset == offset
+    assert [tuple(pair) for pair in back.convergent_pairs(back.length)[offset:]] == pairs
     assert_document_round_trip(back)
 
 
@@ -127,24 +135,32 @@ def exp_plus_poles(parts, order):
 
 @settings
 @hypothesis.given(poles, st.integers(0, 3), st.integers(1, 8))
-@hypothesis.example([(2, F(-2))], 0, 1)  # c_1 = 0, so [0/0] = [1/0]
 def test_row_convergents_are_row_entries(parts, p, n_max):
     series = exp_plus_poles(parts, n_max + p)
     entries = row_sequence(series, p, 0, n_max)
     hypothesis.assume(not any(e.is_block for e in entries))
-    try:
-        cf = row_to_cf(series, p, 0, n_max)
-    except DegenerateSequenceError as exc:
-        # a vanishing coefficient can make two neighbours equal, and no
-        # fraction has two equal consecutive convergents
-        before, after = (entries[k].fraction for k in (exc.index - 1, exc.index))
-        assert before.num * after.den == after.num * before.den
-        return
+    cf = row_to_cf(series, p, 0, n_max)
     pairs = cf.convergent_pairs(n_max + cf.convergent_offset)
     for k, entry in enumerate(entries):
         a, b = pairs[k + cf.convergent_offset]
         assert (a, b) == (entry.fraction.num, entry.fraction.den)
-    assert_document_round_trip(cf)
+
+
+@settings
+@hypothesis.given(poles, st.integers(0, 3), st.integers(1, 8))
+@hypothesis.example([(2, F(-2))], 0, 1)  # c_1 = 0, so [0/0] = [1/0] = 3
+def test_row_document_round_trip(parts, p, n_max):
+    series = exp_plus_poles(parts, n_max + p)
+    entries = [e.fraction for e in row_sequence(series, p, 0, n_max)]
+    # a block shows on the row as a singular system or as two equal neighbours
+    blocked = None in entries or any(
+        a.num * b.den == b.num * a.den for a, b in zip(entries, entries[1:])
+    )
+    if blocked:
+        with pytest.raises(RowNotNormalError):
+            row_to_cf(series, p, 0, n_max)
+    else:
+        assert_document_round_trip(row_to_cf(series, p, 0, n_max))
 
 
 def test_normal_row_divides_by_monomials_only(monkeypatch):
