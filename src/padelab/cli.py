@@ -61,6 +61,20 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+class _Rendered:
+    """Text that dump_json already made for a value at its place in a document.
+
+    dump_json passes the text through verbatim, so a handler can drop each
+    part of its result as soon as that part is rendered. A wrapper, not a
+    str subclass, so that the text is never copied.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
 def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     if isinstance(obj, dict):
@@ -86,6 +100,8 @@ def dump_json(obj, indent: int = 0) -> str:
         return json.dumps(obj)
     if isinstance(obj, Fraction):
         return json.dumps(format_rational(obj))
+    if isinstance(obj, _Rendered):
+        return obj.text
     raise InputError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
@@ -120,14 +136,13 @@ def dump_csv(rows: list[list]) -> str:
     return "\n".join(out)
 
 
-def _emit(doc, fmt: str, csv_rows=None) -> None:
+def _render(doc, fmt: str, csv_rows) -> str:
+    """The whole output text: CSV rows, or the JSON document less its final newline."""
     if fmt == "csv":
         if csv_rows is None:
             raise InputError("csv output is not supported for this subcommand")
-        sys.stdout.write(dump_csv(csv_rows))
-    else:
-        sys.stdout.write(dump_json(doc))
-        sys.stdout.write("\n")
+        return dump_csv(csv_rows)
+    return dump_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -355,41 +370,46 @@ def _cmd_table(args) -> tuple:
     lm = args.L_max + args.M_max
     series = _series_for(source, lm + 1, lm)
     table = pade_table(series, args.L_max, args.M_max)
-    entries = {}
-    for (L, M), entry in table.entries.items():
-        doc = _entry_document(entry)
-        doc.pop("L"), doc.pop("M")
-        if entry.is_block:
-            block = table.blocks[table.block_of[(L, M)]]
-            doc["block"] = [block.corner[0], block.corner[1], block.size]
-        doc["normal"] = entry.normal
-        entries[f"{L},{M}"] = doc
-    blocks = []
-    for b in table.blocks:
-        fraction = None
-        if b.fraction is not None:
-            fraction = {"num": _poly_array(b.fraction.num), "den": _poly_array(b.fraction.den)}
-        blocks.append(
-            {"corner": list(b.corner), "size": b.size, "clipped": b.clipped,
-             "fraction": fraction}
-        )
-    doc = {"L_max": table.Lmax, "M_max": table.Mmax, "entries": entries, "blocks": blocks}
-    rows = None
+    # each entry leaves the table as it is converted
+    entries, blocks, block_of = table.entries, table.blocks, table.block_of
     if args.format == "csv":
         rows = [["L\\M"] + list(range(table.Mmax + 1))]
         for L in range(table.Lmax + 1):
             row = [L]
             for M in range(table.Mmax + 1):
-                entry = table.entries[(L, M)]
+                entry = entries.pop((L, M))
                 if entry.is_block:
-                    b = table.blocks[table.block_of[(L, M)]]
+                    b = blocks[block_of[(L, M)]]
                     row.append(f"block({b.corner[0]};{b.corner[1]};{b.size})")
                 else:
                     row.append(
                         f"({entry.fraction.num.pretty()}) / ({entry.fraction.den.pretty()})"
                     )
             rows.append(row)
-    return doc, rows, 0
+        return None, rows, 0
+    texts = {}
+    while entries:
+        (L, M), entry = entries.popitem()
+        doc = _entry_document(entry)
+        doc.pop("L"), doc.pop("M")
+        if entry.is_block:
+            block = blocks[block_of[(L, M)]]
+            doc["block"] = [block.corner[0], block.corner[1], block.size]
+        doc["normal"] = entry.normal
+        # the entry sits at depth 2: document, "entries", entry
+        texts[f"{L},{M}"] = _Rendered(dump_json(doc, 2))
+    texts = _Rendered(dump_json(texts, 1))
+    block_docs = []
+    for b in blocks:
+        fraction = None
+        if b.fraction is not None:
+            fraction = {"num": _poly_array(b.fraction.num), "den": _poly_array(b.fraction.den)}
+        block_docs.append(
+            {"corner": list(b.corner), "size": b.size, "clipped": b.clipped,
+             "fraction": fraction}
+        )
+    doc = {"L_max": table.Lmax, "M_max": table.Mmax, "entries": texts, "blocks": block_docs}
+    return doc, None, 0
 
 
 def _cmd_hankel(args) -> tuple:
@@ -409,17 +429,18 @@ def _cmd_hankel(args) -> tuple:
     top = args.m_max + 2 * args.p_max - 2
     series = _series_for(source, max(top, 0), max(top, 0))
     grid = hankel_grid(series, args.m_max, args.p_max)
-    doc = {
-        "m_max": args.m_max,
-        "p_max": args.p_max,
-        "rows": [[format_rational(v) for v in row] for row in grid],
-    }
-    rows = None
     if args.format == "csv":
         rows = [["m\\p"] + list(range(1, args.p_max + 1))]
-        for m, cells in enumerate(doc["rows"]):
-            rows.append([m] + cells)
-    return doc, rows, 0
+        for m, row in enumerate(grid):
+            rows.append([m] + [format_rational(v) for v in row])
+        return None, rows, 0
+    # each grid row is dropped as it is rendered, at depth 2: document, "rows", row
+    grid.reverse()
+    texts = []
+    while grid:
+        texts.append(_Rendered(dump_json([format_rational(v) for v in grid.pop()], 2)))
+    texts = _Rendered(dump_json(texts, 1))
+    return {"m_max": args.m_max, "p_max": args.p_max, "rows": texts}, None, 0
 
 
 def _cf_source(args):
@@ -510,13 +531,12 @@ def _cmd_cf(args) -> tuple:
                 "reduced": format_rational(pair.reduced()),
             }
         return doc, None, 0
-    target = cf
     if cf.length is None:
         _require(args, ["terms"])
-        target = cf.prefix(args.terms)
-    elif args.terms is not None:
-        target = cf.prefix(min(args.terms, cf.length))
-    return cf_to_document(target), None, 0
+        cf = cf.prefix(args.terms)
+    elif args.terms is not None and args.terms < cf.length:
+        cf = cf.prefix(args.terms)
+    return cf_to_document(cf), None, 0
 
 
 def _cmd_row_cf(args) -> tuple:
@@ -600,14 +620,22 @@ def main(argv=None) -> int:
     saved_precision = get_precision()
     try:
         if args.emit_schema:
-            _emit(_schema(args.command), "json")
-            return 0
-        if args.precision is not None:
-            set_precision(args.precision)
-        # The handler's exact objects are gone by the time its output is
-        # serialized: only the document and the CSV rows are left.
-        doc, rows, code = _HANDLERS[args.command](args)
-        _emit(doc, args.format, rows)
+            doc, rows, code = _schema(args.command), None, 0
+            fmt = "json"
+        else:
+            if args.precision is not None:
+                set_precision(args.precision)
+            doc, rows, code = _HANDLERS[args.command](args)
+            fmt = args.format
+        # The handler's exact objects are gone by now. What serialization
+        # sees is the document or the CSV rows, in which the table entries
+        # and the Hankel grid rows are already text. Only the output text
+        # is left at the write: the whole of it at once, then JSON's newline.
+        text = _render(doc, fmt, rows)
+        del doc, rows
+        sys.stdout.write(text)
+        if fmt == "json":
+            sys.stdout.write("\n")
         return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

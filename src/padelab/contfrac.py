@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import floor, isqrt
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import mpmath
 
@@ -382,20 +383,29 @@ def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
         raise InputError("at least one convergent pair is required")
     coerce = _as_poly_term if algebraic else _as_numeric_term
     raw = [(coerce(a), coerce(b)) for a, b in raw]
-    one = Polynomial.one() if algebraic else Fraction(1)
-    zero = Polynomial.zero() if algebraic else Fraction(0)
-    term = Polynomial if algebraic else _constant
+    return _cf_from_integer_pairs((_integer_pair(a, b) for a, b in raw), algebraic)
 
-    offset = 0 if raw[0][1] == one else 1
-    seq = ([(zero, one)] + raw) if offset else raw
-    # each step reads pairs k-2, k-1 and k, scaled when the step reaches them
-    (a2, b2, s2), (a1, b1, s1) = ([1], [], 1), _integer_pair(*seq[0])
+
+def _cf_from_integer_pairs(pairs: Iterator, algebraic: bool) -> ContinuedFraction:
+    """The recovery of cf_from_convergents, on pairs given as _integer_pair makes them.
+
+    pairs yields at least one triple (a, b, s), the pair (a/s, b/s). It is
+    read once, and only the pairs k-2, k-1 and k of the current step are
+    kept.
+    """
+    term = Polynomial if algebraic else _constant
+    first = next(pairs)
+    offset = 0 if first[1] == [first[2]] else 1
+    # (A_{-1}, B_{-1}) = (1, 0), then the zero head (0, 1) when B_0 is not 1
+    head = ([], [1], 1) if offset else first
+    if offset:
+        pairs = chain((first,), pairs)
+    (a2, b2, s2), (a1, b1, s1) = ([1], [], 1), head
     # B_0 = 1 is scaled to [s_0], so D_1 = -[s_0]
     det = [-s1]
     terms = []
-    for k in range(1, len(seq)):
+    for k, (a, b, s) in enumerate(pairs, start=1):
         index = k - offset
-        a, b, s = _integer_pair(*seq[k])
         q = _term_quotient(_cross(a, b2, a2, b), det, Fraction(s1, s), index)
         nxt = _cross(a, b1, a1, b)
         if not nxt:
@@ -408,7 +418,7 @@ def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
         (a2, b2, s2), (a1, b1, s1) = (a1, b1, s1), (a, b, s)
 
     cls = AlgebraicCF if algebraic else NumericCF
-    cf = cls(seq[0][0], terms)
+    cf = cls(term([Fraction(x, head[2]) for x in head[0]]), terms)
     cf.convergent_offset = offset
     return cf
 

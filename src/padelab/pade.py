@@ -26,8 +26,8 @@ Every determinant and linear solve here runs through one integer Bareiss
 kernel (Bareiss, Math. Comp. 22, 1968), on rows sliced out of one integer
 image of the series coefficients: the coefficients scaled by the lcm of
 their denominators. A table takes one image for all its cells, a Hankel
-grid one per offset, and a lone approximant, Hankel determinant or
-Hadamard polynomial one for its own window. Only the cells one step past
+grid one per offset, and a lone approximant, row entry, Hankel
+determinant or Hadamard polynomial one for its own window. Only the cells one step past
 a table's last row and column, which it does not solve, get an
 elimination for its flags. A Hankel grid eliminates each offset once
 without pivoting: the pivots of window (m, P) are the leading minors
@@ -38,14 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Optional
 
-from .contfrac import AlgebraicCF, cf_from_convergents
+from .contfrac import AlgebraicCF, _cf_from_integer_pairs
 from .core.poly import Polynomial, RationalFunction, convolve
 from .core.scalars import integer_vector
 from .core.series import PowerSeries, series_of_rational_function
 from .errors import (
+    DegenerateSequenceError,
     InputError,
     InsufficientCoefficientsError,
     NonNormalWindowError,
@@ -279,24 +280,47 @@ def _toeplitz_ints(ints: list[int], L: int, M: int) -> list[list[int]]:
     return rows
 
 
+def _solve_entry(image: tuple[list[int], int], L: int, M: int):
+    """The [L/M] solve on the integer image (ints, scale) of c_0 .. c_{L+M} or more.
+
+    Returns (det, y, num): the denominator is (det, y_0, .., y_{M-1}) / det
+    and the numerator num / (det * scale). None when the system is singular.
+    """
+    ints, _ = image
+    if M == 0:
+        det, y = 1, []
+    else:
+        rows = _toeplitz_ints(ints, L, M)
+        for row, c in zip(rows, ints[L + 1 : L + M + 1]):
+            row.append(-c)
+        sol = _solve_integer_rows(rows)
+        if sol is None:
+            return None
+        det, y = sol
+    return det, y, convolve([det] + y, ints[: L + 1], L + 1)
+
+
 def _approximant(series: PowerSeries, image: tuple[list[int], int], L: int, M: int) -> PadeEntry:
     """[L/M] from the integer image (ints, scale) of c_0 .. c_{L+M} or more."""
     if M == 0:
         num = Polynomial(series.coeffs[: L + 1])
         return PadeEntry(L, M, RationalFunction(num, Polynomial.one()))
-    ints, scale = image
-    rows = _toeplitz_ints(ints, L, M)
-    for row, c in zip(rows, ints[L + 1 : L + M + 1]):
-        row.append(-c)
-    sol = _solve_integer_rows(rows)
+    sol = _solve_entry(image, L, M)
     if sol is None:
         return PadeEntry(L, M, None)
-    # the denominator is (det, y_0, .., y_{M-1}) / det
-    det, y = sol
+    det, y, num = sol
     den = Polynomial([Fraction(1)] + [Fraction(v, det) for v in y])
-    total = det * scale
-    num = Polynomial([Fraction(c, total) for c in convolve([det] + y, ints[: L + 1], L + 1)])
+    total = det * image[1]
+    num = Polynomial([Fraction(c, total) for c in num])
     return PadeEntry(L, M, RationalFunction(num, den))
+
+
+def _check_order(series: PowerSeries, L: int, M: int) -> None:
+    if series.order < L + M:
+        raise InsufficientCoefficientsError(
+            f"[{L}/{M}] needs coefficients through {L + M}, "
+            f"series stops at {series.order}"
+        )
 
 
 def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
@@ -311,11 +335,7 @@ def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
     """
     if L < 0 or M < 0:
         raise InputError("approximant orders must be nonnegative")
-    if series.order < L + M:
-        raise InsufficientCoefficientsError(
-            f"[{L}/{M}] needs coefficients through {L + M}, "
-            f"series stops at {series.order}"
-        )
+    _check_order(series, L, M)
     return _approximant(series, integer_vector(series.coeffs[: L + M + 1]), L, M)
 
 
@@ -471,13 +491,21 @@ def pade_table(series: PowerSeries, Lmax: int, Mmax: int) -> PadeTable:
 # Row sequences
 
 
+def _check_row_range(p: int, n_min: int, n_max: int) -> None:
+    if p < 0 or n_min < 0 or n_min > n_max:
+        raise InputError("row range needs 0 <= n_min <= n_max and p >= 0")
+
+
 def row_sequence(
     series: PowerSeries, p: int, n_min: int, n_max: int
 ) -> list[PadeEntry]:
     """Entries [n/p] for n = n_min .. n_max, in order."""
-    if p < 0 or n_min < 0 or n_min > n_max:
-        raise InputError("row range needs 0 <= n_min <= n_max and p >= 0")
+    _check_row_range(p, n_min, n_max)
     return [pade_approximant(series, n, p) for n in range(n_min, n_max + 1)]
+
+
+def _not_normal(p: int, n_min: int, n_max: int, n: int) -> RowNotNormalError:
+    return RowNotNormalError(f"row {p} is not normal over {n_min}..{n_max}: block at [{n}/{p}]")
 
 
 def _normal_row(series: PowerSeries, p: int, n_min: int, n_max: int) -> list[PadeEntry]:
@@ -490,21 +518,59 @@ def _normal_row(series: PowerSeries, p: int, n_min: int, n_max: int) -> list[Pad
     entries = row_sequence(series, p, n_min, n_max)
     for entry, before in zip(entries, [None] + entries):
         if entry.is_block or (before is not None and entry.fraction == before.fraction):
-            raise RowNotNormalError(
-                f"row {p} is not normal over {n_min}..{n_max}: "
-                f"block at [{entry.L}/{entry.M}]"
-            )
+            raise _not_normal(p, n_min, n_max, entry.L)
     return entries
+
+
+def _trimmed(v: list[int]) -> list[int]:
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
+def _row_pairs(series: PowerSeries, p: int, n_min: int, n_max: int):
+    """The entries [n/p], n = n_min .. n_max, as reduced integer pairs.
+
+    Yields (a, b, s) with A = a/s and B = b/s, s > 0 and gcd(s, a, b) = 1:
+    the form _integer_pair gives the pair (A, B) of the entry, built from
+    the entry's integer solve with no Fraction on the way. A block entry
+    raises RowNotNormalError as _normal_row does: a singular system, or a
+    pair equal to the one before it.
+    """
+    before = None
+    for n in range(n_min, n_max + 1):
+        image = integer_vector(series.coeffs[: n + p + 1])
+        sol = _solve_entry(image, n, p)
+        if sol is None:
+            raise _not_normal(p, n_min, n_max, n)
+        det, y, a = sol
+        b = [v * image[1] for v in [det] + y]
+        # A = a / b[0] and B = b / b[0]; b[0] = det * scale is not zero
+        g = gcd(*a, *b) if det > 0 else -gcd(*a, *b)
+        pair = (_trimmed([x // g for x in a]), _trimmed([x // g for x in b]), b[0] // g)
+        if pair == before:
+            raise _not_normal(p, n_min, n_max, n)
+        yield pair
+        before = pair
 
 
 def row_to_cf(series: PowerSeries, p: int, n_min: int, n_max: int) -> AlgebraicCF:
     """Algebraic continued fraction whose convergents are a table row.
 
-    Feeds the exact (numerator, denominator) pairs of the row entries to
-    the inverse convergent construction. Blocks in the range make the row
-    non-normal and are rejected; see cf_from_convergents for the offset
-    convention when the first denominator is not the constant 1.
+    Reads the row once, entry by entry, as the integer pairs of _row_pairs
+    and feeds them to the recovery of cf_from_convergents, which keeps
+    only the last two. Blocks in the range make the row non-normal and are
+    rejected, before any recovery failure: a failed recovery still reads
+    the rest of the row. See cf_from_convergents for the offset convention
+    when the first denominator is not the constant 1.
     """
-    entries = _normal_row(series, p, n_min, n_max)
-    pairs = [(e.fraction.num, e.fraction.den) for e in entries]
-    return cf_from_convergents(pairs)
+    _check_row_range(p, n_min, n_max)
+    # the first entry past the series fails before any entry is read
+    _check_order(series, max(n_min, min(n_max, series.order - p + 1)), p)
+    pairs = _row_pairs(series, p, n_min, n_max)
+    try:
+        return _cf_from_integer_pairs(pairs, algebraic=True)
+    except DegenerateSequenceError:
+        for _ in pairs:
+            pass
+        raise

@@ -9,7 +9,9 @@ are monomials (the Frobenius identity), and convergent k + offset of the
 recovered fraction is row entry k as an unreduced pair. Fractions recovered
 from scaled pairs and from rows survive their document form:
 parse_cf_document(cf_to_document(cf)) keeps the convergent offset and
-every convergent pair.
+every convergent pair. row_to_cf, which streams the row into the recovery
+on integers, gives what cf_from_convergents gives on the row's entries,
+errors included, on normal and block-heavy series and from any n_min.
 """
 
 from fractions import Fraction as F
@@ -20,6 +22,7 @@ from padelab import (
     AlgebraicCF,
     NumericCF,
     Polynomial,
+    PowerSeries,
     RationalFunction,
     builtin_series,
     cf_from_convergents,
@@ -29,7 +32,8 @@ from padelab import (
     row_to_cf,
     series_of_rational_function,
 )
-from padelab.errors import RowNotNormalError
+from padelab.errors import DegenerateSequenceError, PadelabError, RowNotNormalError
+from padelab.pade import _normal_row
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -172,3 +176,68 @@ def test_normal_row_divides_by_monomials_only(monkeypatch):
     cf = row_to_cf(series, 3, 0, 12)
     assert cf.convergent_offset == 1
     assert cf.length == 13
+
+
+# Series for the streamed row: exp plus poles; num / (1 - c z^k), whose
+# tables are mostly blocks, as in the benchmark's block-heavy series; and exp
+# with one coefficient set to 0, whose row 0 repeats an entry and whose
+# row 1 meets a singular system.
+row_series = st.one_of(
+    st.tuples(st.just("poles"), poles),
+    st.tuples(
+        st.just("power"),
+        st.integers(1, 4),
+        nonzero_rationals,
+        st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=4),
+    ),
+    st.tuples(st.just("gap"), st.integers(1, 8)),
+)
+
+
+def build_series(spec, order):
+    if spec[0] == "poles":
+        return exp_plus_poles(spec[1], order)
+    if spec[0] == "power":
+        _, k, c, num = spec
+        rf = RationalFunction(Polynomial(num), Polynomial([1] + [0] * (k - 1) + [-c]))
+        return series_of_rational_function(rf, order)
+    coeffs = list(builtin_series("exp", order).coeffs)
+    if spec[1] <= order:
+        coeffs[spec[1]] = F(0)
+    return PowerSeries(coeffs)
+
+
+def outcome(make):
+    """The document of the fraction make() returns, or the error it raises."""
+    try:
+        return "ok", cf_to_document(make())
+    except PadelabError as exc:
+        return type(exc), str(exc)
+
+
+@settings
+@hypothesis.given(row_series, st.integers(0, 3), st.integers(0, 3), st.integers(0, 8))
+@hypothesis.example(("poles", [(2, F(-2))]), 0, 0, 1)  # [0/0] = [1/0]: a repeated entry
+@hypothesis.example(("power", 2, F(1), [1]), 1, 0, 4)  # 1/(1 - z^2): singular systems
+@hypothesis.example(("poles", []), 1, 2, 6)  # exp from n_min = 2: the recovery fails
+@hypothesis.example(("gap", 6), 1, 2, 7)  # ... and then [6/1] is a block
+def test_streamed_row_matches_recovery_over_entries(spec, p, n_min, length):
+    n_max = n_min + length
+    series = build_series(spec, n_max + p)
+
+    def over_entries():
+        entries = _normal_row(series, p, n_min, n_max)
+        return cf_from_convergents([(e.fraction.num, e.fraction.den) for e in entries])
+
+    assert outcome(lambda: row_to_cf(series, p, n_min, n_max)) == outcome(over_entries)
+
+
+def test_block_later_in_row_is_reported_before_recovery_failure():
+    # exp with c_6 = 0: [6/1] solves the singular system c_6 * b_1 = -c_7
+    series = build_series(("gap", 6), 10)
+    # from n_min = 2 the recovery fails at its first step ...
+    with pytest.raises(DegenerateSequenceError, match="at index 1"):
+        row_to_cf(series, 1, 2, 5)
+    # ... and a block further along the row is still the error reported
+    with pytest.raises(RowNotNormalError, match=r"over 2\.\.9: block at \[6/1\]"):
+        row_to_cf(series, 1, 2, 9)
