@@ -29,6 +29,7 @@ from .contfrac import (
     euclid_cf,
     evaluate_cf,
     parse_cf_document,
+    partial_documents,
     sqrt_cf,
 )
 from .core.floats import get_precision, set_precision
@@ -544,7 +545,15 @@ def _cmd_row_cf(args) -> tuple:
     source = _series_arg(args.series)
     need = args.n_max + args.p
     series = _series_for(source, need, need)
-    doc = cf_to_document(row_to_cf(series, args.p, args.n_min, args.n_max))
+    cf = row_to_cf(series, args.p, args.n_min, args.n_max)
+    # A row's fraction is algebraic, so its document takes the "partials"
+    # form. Each partial is rendered as it is converted, at depth 2:
+    # document, "partials", partial, and the fraction is dropped before the
+    # rendered partials are joined.
+    doc = cf_to_document(cf.prefix(0))
+    texts = [_Rendered(dump_json(entry, 2)) for entry in partial_documents(cf)]
+    del cf
+    doc["partials"] = _Rendered(dump_json(texts, 1))
     doc["p"] = args.p
     doc["n_min"] = args.n_min
     doc["n_max"] = args.n_max

@@ -553,6 +553,18 @@ def cf_to_document(cf: ContinuedFraction) -> dict:
     return doc
 
 
+def partial_documents(cf: ContinuedFraction):
+    """The [p, q] entry of each partial of a finite fraction, in order.
+
+    These are the entries of cf_to_document's "partials" form, made one at
+    a time.
+    """
+    fmt = _poly_to_array if cf.algebraic else format_rational
+    for k in range(1, cf.length + 1):
+        p, q = cf.partial(k)
+        yield [fmt(p), fmt(q)]
+
+
 def _array_to_poly(coeffs: list) -> Polynomial:
     return Polynomial([parse_rational(c) for c in coeffs])
 

@@ -43,7 +43,8 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(x) -> str:
     """Inverse of parse_rational: "p" when integral, otherwise "p/q"."""
-    x = Fraction(x)
+    if type(x) is not Fraction and type(x) is not int:  # bool takes this path too
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -19,7 +19,6 @@ estimating rates.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,12 +29,14 @@ import mpmath
 from .core.floats import (
     DOUBLE_BITS,
     coefficient_scale,
+    error_modulus,
     eval_poly,
     eval_prepared_rf,
     eval_rf_complex,
     find_poly_roots,
+    fixed_point,
     get_precision,
-    mpf_form,
+    int_form,
     prepare_rf,
     to_mpc,
     to_mpf,
@@ -223,7 +224,8 @@ class MeromorphicSpec:
         precision; a caller evaluating many points passes it so the rational
         part is converted once, not at every point. On its double form the
         value is a Python complex, with exp taken by cmath, unless a double
-        overflows; otherwise, and without prepared, it is an mpc.
+        overflows; otherwise, on the integer form and without prepared, it
+        is an mpc.
         """
         if prepared is None:
             value = eval_rf_complex(self._reduced, z)
@@ -463,16 +465,31 @@ def _log_fit(points: list[tuple[int, mpmath.mpf]]) -> Optional[dict]:
 def _grid_error(spec: MeromorphicSpec, f_prepared, prepared, z):
     """|f(z) - r(z)| from prepare_rf forms of f's rational part and of r.
 
-    A point where a double overflows in the subtraction or the modulus,
-    which the mpf values may not, is measured again on the mpf forms.
+    At DOUBLE_BITS z is a Python complex. When both forms are double forms
+    the value is taken in IEEE doubles, and a point where a double
+    overflows, which the integer form cannot, is measured on the integer
+    forms of the same values at fixed_point(z).
+
+    Otherwise z is a fixed_point result, integers over 2^F with F = prec +
+    g (g = GUARD_BITS; more bits when |z| < 1/2), and the value is
+    error_modulus's: every coefficient keeps at least prec + g bits, the
+    work runs on integers, and the one rounding to prec bits is applied to
+    a value within B_f + B_r + 2^(3-prec-g)*T of the exact one at the
+    dyadic point, the terms as error_modulus states them.
     """
-    try:
-        err = abs(spec.evaluate(z, f_prepared) - eval_prepared_rf(prepared, z))
-        if err < math.inf:  # neither infinite nor nan
-            return err
-    except OverflowError:
-        pass
-    return abs(spec.evaluate(z, mpf_form(f_prepared)) - eval_prepared_rf(mpf_form(prepared), z))
+    if type(z) is complex:
+        if isinstance(f_prepared[2], float) and isinstance(prepared[2], float):
+            try:
+                f, r = spec.evaluate(z, f_prepared), eval_prepared_rf(prepared, z)
+                # a value that fell back to the integer form is an mpc
+                if type(f) is complex and type(r) is complex:
+                    err = abs(f - r)
+                    if err < math.inf:  # neither infinite nor nan
+                        return err
+            except OverflowError:
+                pass
+        f_prepared, prepared, z = int_form(f_prepared), int_form(prepared), fixed_point(z)
+    return error_modulus(f_prepared, spec.exp_count, prepared, z)
 
 
 def run_row_experiment(
@@ -514,12 +531,13 @@ def run_row_experiment(
 
     report_flags = [] if check.gap_ok else [GAP_FLAG]
     points = grid.iter_points([info.location for info in poles])
-    # At DOUBLE_BITS the grid is held as Python complex values, the exact
-    # conversion of the mpc points, for the double forms of prepare_rf.
+    # The grid is converted once. At DOUBLE_BITS it is held as Python complex
+    # values, the exact conversion of the mpc points, for the double forms of
+    # prepare_rf; otherwise as integers over 2^F for the integer forms.
     if get_precision() == DOUBLE_BITS:
         points = [complex(z) for z in points]
     else:
-        points = list(points)
+        points = [fixed_point(z) for z in points]
 
     series = spec.taylor(n_max + p)
     # f's rational part, converted at the first entry that needs the grid
@@ -545,9 +563,8 @@ def run_row_experiment(
         matching = pole_match(roots, expected)
         matches = matching.matches
         if exact:
-            matches = tuple(
-                dataclasses.replace(m, distance=mpmath.mpf(0)) for m in matches
-            )
+            zero = mpmath.mpf(0)
+            matches = tuple(PoleMatch(m.slot, m.pole_index, m.pole, m.root, zero) for m in matches)
             sup = mpmath.mpf(0)
             skipped = 0
             flags.append("exact recovery")

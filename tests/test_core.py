@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
+from exact_values import check_quotient, held_coefficients
 
 from padelab import (
     Polynomial,
@@ -29,7 +30,8 @@ from padelab.core.floats import (
     eval_poly,
     eval_prepared_rf,
     find_poly_roots,
-    mpf_form,
+    fixed_point,
+    int_form,
     prepare_rf,
     to_mpf,
 )
@@ -271,9 +273,10 @@ class TestFloats:
 
     @pytest.mark.parametrize("bits", [53, 113])
     def test_prepared_evaluation_rounds_as_mpc_arithmetic(self, bits):
-        # eval_poly works in mpc arithmetic; the mpf form must agree with it
-        # bit for bit, at every point, from one conversion, and so must
-        # eval_rf_complex at every precision, 53 bits included
+        # eval_rf_complex works in mpc arithmetic and must agree with
+        # eval_poly bit for bit, at every precision, 53 bits included. The
+        # integer form, from one conversion, must sit within its stated
+        # bound of the exact value at its dyadic point, rounded once.
         rng = random.Random(bits)
 
         def poly(degree):
@@ -283,19 +286,20 @@ class TestFloats:
         with precision(bits):
             for _ in range(20):
                 rf = RationalFunction(poly(rng.randint(0, 12)), poly(rng.randint(0, 4)))
-                prepared = mpf_form(prepare_rf(rf))
+                prepared = int_form(prepare_rf(rf))
+                values = held_coefficients(rf)
                 for _ in range(5):
                     z = mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                     expected = eval_poly(rf.num, z) / eval_poly(rf.den, z)
-                    assert eval_prepared_rf(prepared, z) == expected
                     assert eval_rf_complex(rf, z) == expected
+                    check_quotient(eval_prepared_rf(prepared, z), *values, fixed_point(z), bits)
 
     @staticmethod
     def _forms(rf):
-        # the double form prepare_rf gives at 53 bits, and the mpf form
+        # the double form prepare_rf gives at 53 bits, and the integer form
         double = prepare_rf(rf)
         assert isinstance(double[2], float)
-        return [double, mpf_form(double)]
+        return [double, int_form(double)]
 
     def test_non_finite_denominator(self):
         rf = RationalFunction(Polynomial((1,)), Polynomial((1, -1)))
