@@ -34,7 +34,7 @@ from .contfrac import (
 )
 from .core.floats import get_precision, set_precision
 from .core.poly import Polynomial
-from .core.scalars import format_rational, parse_rational
+from .core.scalars import format_quotient, format_rational, parse_rational
 from .core.series import (
     BuiltinSource,
     SeriesSource,
@@ -205,11 +205,12 @@ def _entry_document(entry) -> dict:
             "M": entry.M,
             "block": {"singular_system": list(entry.singular_system)},
         }
+    a, b, s = entry.pair
     return {
         "L": entry.L,
         "M": entry.M,
-        "num": [format_rational(c) for c in entry.fraction.num.coeffs],
-        "den": [format_rational(c) for c in entry.fraction.den.coeffs],
+        "num": [format_quotient(x, s) for x in a],
+        "den": [format_quotient(x, s) for x in b],
     }
 
 
@@ -383,9 +384,8 @@ def _cmd_table(args) -> tuple:
                     b = blocks[block_of[(L, M)]]
                     row.append(f"block({b.corner[0]};{b.corner[1]};{b.size})")
                 else:
-                    row.append(
-                        f"({entry.fraction.num.pretty()}) / ({entry.fraction.den.pretty()})"
-                    )
+                    f = entry.fraction
+                    row.append(f"({f.num.pretty()}) / ({f.den.pretty()})")
             rows.append(row)
         return None, rows, 0
     texts = {}

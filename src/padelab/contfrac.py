@@ -389,13 +389,13 @@ def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
 def _cf_from_integer_pairs(pairs: Iterator, algebraic: bool) -> ContinuedFraction:
     """The recovery of cf_from_convergents, on pairs given as _integer_pair makes them.
 
-    pairs yields at least one triple (a, b, s), the pair (a/s, b/s). It is
-    read once, and only the pairs k-2, k-1 and k of the current step are
-    kept.
+    pairs yields at least one triple (a, b, s) of int sequences and an int,
+    the pair (a/s, b/s). It is read once; only the pairs k-2, k-1 and k of
+    the current step are kept.
     """
     term = Polynomial if algebraic else _constant
     first = next(pairs)
-    offset = 0 if first[1] == [first[2]] else 1
+    offset = 0 if tuple(first[1]) == (first[2],) else 1
     # (A_{-1}, B_{-1}) = (1, 0), then the zero head (0, 1) when B_0 is not 1
     head = ([], [1], 1) if offset else first
     if offset:

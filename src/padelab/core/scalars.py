@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ..errors import InputError
 
@@ -45,9 +45,15 @@ def format_rational(x) -> str:
     """Inverse of parse_rational: "p" when integral, otherwise "p/q"."""
     if type(x) is not Fraction and type(x) is not int:  # bool takes this path too
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return format_quotient(x.numerator, x.denominator)
+
+
+def format_quotient(x: int, s: int) -> str:
+    """The text of the rational x/s, s > 0, in lowest terms, from one gcd."""
+    g = gcd(x, s)
+    if g != 1:
+        x, s = x // g, s // g
+    return str(x) if s == 1 else f"{x}/{s}"
 
 
 def integer_vector(values) -> tuple[list[int], int]:

@@ -60,7 +60,7 @@ from .errors import (
     OriginPoleError,
     SchemaError,
 )
-from .pade import _normal_row, pade_approximant
+from .pade import _rational_function, _row_pairs, pade_approximant
 
 GAP_TOLERANCE_REL = 1e-9
 DECLARED_POLE_RESIDUAL_REL = 1e-6
@@ -542,9 +542,9 @@ def run_row_experiment(
     series = spec.taylor(n_max + p)
     # f's rational part, converted at the first entry that needs the grid
     f_prepared = None
-    # the roots of the last denominator found; an entry whose denominator
-    # equals it, as every exact-recovery entry of a rational row does,
-    # reuses them
+    # the last denominator's primitive integer vector and its roots; an entry
+    # whose denominator equals it, as every exact-recovery entry of a
+    # rational row does, reuses them
     den, roots = None, None
     records = []
     for n in range(n_min, n_max + 1):
@@ -556,10 +556,15 @@ def run_row_experiment(
                           None, 0, tuple(flags + ["block entry"]))
             )
             continue
-        exact = spec.is_exactly_rational and entry.fraction.equivalent_to(spec.rational)
-        if entry.fraction.den != den:
-            den = entry.fraction.den
-            roots = find_poly_roots(den)
+        fraction, b = entry.fraction, entry.pair[1]
+        del entry  # its fraction, built once, is all the grid reads
+        exact = spec.is_exactly_rational and fraction.equivalent_to(spec.rational)
+        # B = b / b[0] with b[0] > 0, so the primitive vector of b tells B
+        g = math.gcd(*b)
+        b = [x // g for x in b]
+        if b != den:
+            den = b
+            roots = find_poly_roots(fraction.den)
         matching = pole_match(roots, expected)
         matches = matching.matches
         if exact:
@@ -571,11 +576,11 @@ def run_row_experiment(
         else:
             if f_prepared is None:
                 f_prepared = prepare_rf(spec.rational)
-            prepared = prepare_rf(entry.fraction)
+            prepared = prepare_rf(fraction)
             # The grid needs only the converted coefficients. Dropping the
-            # exact entry here, and the conversion after the grid, keeps the
-            # two from being alive together at the row's peak memory.
-            del entry
+            # exact fraction here, and the conversion after the grid, keeps
+            # the two from being alive together at the row's peak memory.
+            del fraction
             sup = None
             skipped = 0
             for z in points:
@@ -637,14 +642,15 @@ def telescoped_row_series(series: PowerSeries, p: int, n_min: int, n_max: int, z
     exactly the entries again; with an exact rational z this function
     returns Fractions whose telescoping identity holds bit for bit, and
     with any other z it evaluates in floating arithmetic. A row that is not
-    normal over the range, as row_to_cf judges it, is rejected.
+    normal over the range, as row_to_cf judges it, is rejected before any
+    entry is evaluated.
     """
-    entries = _normal_row(series, p, n_min, n_max)
+    entries = [_rational_function(pair) for pair in _row_pairs(series, p, n_min, n_max)]
     exact_point = isinstance(z, (int, Fraction)) and not isinstance(z, bool)
     if exact_point:
-        values = [e.fraction(Fraction(z)) for e in entries]
+        values = [e(Fraction(z)) for e in entries]
     else:
-        values = [eval_rf_complex(e.fraction, z) for e in entries]
+        values = [eval_rf_complex(e, z) for e in entries]
     sums = []
     total = None
     for i, v in enumerate(values):

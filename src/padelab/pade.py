@@ -7,6 +7,9 @@ Conventions used throughout:
     the series through index L + M. The denominator comes from the M x M
     Toeplitz system; a singular system marks the entry as a block member
     instead of inventing a fraction.
+  * An entry is held as its reduced integer triple (a, b, s): A = a/s,
+    B = b/s, b[0] = s > 0, gcd(s, a, b) = 1, no trailing zeros. Equal
+    entries have equal triples; the RationalFunction is built on demand.
   * The Hankel determinant of window (m, p) is det [s_{m+i+j}] for
     i, j = 0 .. p-1, with the empty determinant (p = 0) equal to 1.
     Coefficients at negative indices are zero. Public entry points insist
@@ -244,26 +247,40 @@ def hankel_grid(series: PowerSeries, m_max: int, p_max: int) -> list[list[Fracti
 
 @dataclass(frozen=True)
 class PadeEntry:
-    """One table entry: either a fraction or a block marker.
+    """One table entry: either the reduced triple of a fraction or a block marker.
 
-    A marker means the (L, M) denominator system was singular; the pair
-    (L, M) itself indexes the defining singular system. The normal flag is
-    filled in by table construction when enough coefficients exist to
-    evaluate the four governing determinants, and stays None otherwise.
+    pair is the reduced triple (a, b, s) of the module docstring, or None
+    for a marker: the (L, M) denominator system was singular, and (L, M)
+    itself indexes it. The normal flag is filled in by table construction
+    when enough coefficients exist to evaluate the four governing
+    determinants, and stays None otherwise.
     """
 
     L: int
     M: int
-    fraction: Optional[RationalFunction]
+    pair: Optional[tuple[tuple[int, ...], tuple[int, ...], int]]
     normal: Optional[bool] = None
 
     @property
+    def fraction(self) -> Optional[RationalFunction]:
+        """The entry as RationalFunction(A, B), built anew from pair; None for a marker."""
+        return None if self.pair is None else _rational_function(self.pair)
+
+    @property
     def is_block(self) -> bool:
-        return self.fraction is None
+        return self.pair is None
 
     @property
     def singular_system(self) -> Optional[tuple[int, int]]:
-        return (self.L, self.M) if self.fraction is None else None
+        return (self.L, self.M) if self.pair is None else None
+
+
+def _rational_function(pair) -> RationalFunction:
+    """RationalFunction(a/s, b/s) of a reduced triple (a, b, s)."""
+    a, b, s = pair
+    return RationalFunction(
+        Polynomial([Fraction(x, s) for x in a]), Polynomial([Fraction(x, s) for x in b])
+    )
 
 
 def _toeplitz_ints(ints: list[int], L: int, M: int) -> list[list[int]]:
@@ -281,12 +298,13 @@ def _toeplitz_ints(ints: list[int], L: int, M: int) -> list[list[int]]:
 
 
 def _solve_entry(image: tuple[list[int], int], L: int, M: int):
-    """The [L/M] solve on the integer image (ints, scale) of c_0 .. c_{L+M} or more.
+    """The [L/M] entry from the integer image (ints, scale) of c_0 .. c_{L+M} or more.
 
-    Returns (det, y, num): the denominator is (det, y_0, .., y_{M-1}) / det
-    and the numerator num / (det * scale). None when the system is singular.
+    Returns the entry's reduced triple (a, b, s), or None when the system
+    is singular. The denominator solves to (det, y_0, .., y_{M-1}) / det
+    and the numerator to a / (det * scale); one gcd reduces both.
     """
-    ints, _ = image
+    ints, scale = image
     if M == 0:
         det, y = 1, []
     else:
@@ -297,22 +315,20 @@ def _solve_entry(image: tuple[list[int], int], L: int, M: int):
         if sol is None:
             return None
         det, y = sol
-    return det, y, convolve([det] + y, ints[: L + 1], L + 1)
+    b = [det] + y
+    a = convolve(b, ints[: L + 1], L + 1)
+    b = [v * scale for v in b]
+    # A = a / b[0] and B = b / b[0]; g takes the sign of b[0] = det * scale
+    g = gcd(*a, *b) if det > 0 else -gcd(*a, *b)
+    return _trimmed(a, g), _trimmed(b, g), b[0] // g
 
 
-def _approximant(series: PowerSeries, image: tuple[list[int], int], L: int, M: int) -> PadeEntry:
-    """[L/M] from the integer image (ints, scale) of c_0 .. c_{L+M} or more."""
-    if M == 0:
-        num = Polynomial(series.coeffs[: L + 1])
-        return PadeEntry(L, M, RationalFunction(num, Polynomial.one()))
-    sol = _solve_entry(image, L, M)
-    if sol is None:
-        return PadeEntry(L, M, None)
-    det, y, num = sol
-    den = Polynomial([Fraction(1)] + [Fraction(v, det) for v in y])
-    total = det * image[1]
-    num = Polynomial([Fraction(c, total) for c in num])
-    return PadeEntry(L, M, RationalFunction(num, den))
+def _trimmed(v: list[int], g: int) -> tuple[int, ...]:
+    """v // g as a tuple, after dropping the trailing zeros of v."""
+    while v and v[-1] == 0:
+        v.pop()
+    # of a list, not a generator: made at its size from a free tuple, never resized
+    return tuple([x // g for x in v])
 
 
 def _check_order(series: PowerSeries, L: int, M: int) -> None:
@@ -336,7 +352,7 @@ def pade_approximant(series: PowerSeries, L: int, M: int) -> PadeEntry:
     if L < 0 or M < 0:
         raise InputError("approximant orders must be nonnegative")
     _check_order(series, L, M)
-    return _approximant(series, integer_vector(series.coeffs[: L + M + 1]), L, M)
+    return PadeEntry(L, M, _solve_entry(integer_vector(series.coeffs[: L + M + 1]), L, M))
 
 
 def order_of_contact(series: PowerSeries, rf: RationalFunction) -> Optional[int]:
@@ -434,7 +450,7 @@ def pade_table(series: PowerSeries, Lmax: int, Mmax: int) -> PadeTable:
     # one integer image of every coefficient a cell or an edge matrix reads
     image = integer_vector(series.coeffs[: Lmax + Mmax + 2])
     entries = {
-        (L, M): _approximant(series, image, L, M)
+        (L, M): PadeEntry(L, M, _solve_entry(image, L, M))
         for L in range(Lmax + 1)
         for M in range(Mmax + 1)
     }
@@ -449,7 +465,7 @@ def pade_table(series: PowerSeries, Lmax: int, Mmax: int) -> PadeTable:
     for (L, M), entry in entries.items():
         if series.order >= L + M + 1:
             normal = singular.isdisjoint(((L, M), (L + 1, M), (L, M + 1), (L + 1, M + 1)))
-            entries[(L, M)] = PadeEntry(L, M, entry.fraction, normal)
+            entries[(L, M)] = PadeEntry(L, M, entry.pair, normal)
 
     blocks: list[Block] = []
     block_of: dict = {}
@@ -508,47 +524,21 @@ def _not_normal(p: int, n_min: int, n_max: int, n: int) -> RowNotNormalError:
     return RowNotNormalError(f"row {p} is not normal over {n_min}..{n_max}: block at [{n}/{p}]")
 
 
-def _normal_row(series: PowerSeries, p: int, n_min: int, n_max: int) -> list[PadeEntry]:
-    """row_sequence, with RowNotNormalError at the first entry inside a block.
-
-    Along a block's top row the systems are nonsingular but the entries
-    repeat. A nonsingular system's one solution is the reduced approximant,
-    so a repeat shows as a pair equal to the one before it.
-    """
-    entries = row_sequence(series, p, n_min, n_max)
-    for entry, before in zip(entries, [None] + entries):
-        if entry.is_block or (before is not None and entry.fraction == before.fraction):
-            raise _not_normal(p, n_min, n_max, entry.L)
-    return entries
-
-
-def _trimmed(v: list[int]) -> list[int]:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
 def _row_pairs(series: PowerSeries, p: int, n_min: int, n_max: int):
-    """The entries [n/p], n = n_min .. n_max, as reduced integer pairs.
+    """The entries [n/p], n = n_min .. n_max, as the reduced triples of _solve_entry.
 
-    Yields (a, b, s) with A = a/s and B = b/s, s > 0 and gcd(s, a, b) = 1:
-    the form _integer_pair gives the pair (A, B) of the entry, built from
-    the entry's integer solve with no Fraction on the way. A block entry
-    raises RowNotNormalError as _normal_row does: a singular system, or a
-    pair equal to the one before it.
+    The one judge of a normal row, for row_to_cf and telescoped_row_series.
+    Range and order are checked at the first next(): the first entry past
+    the series fails before any is solved. A block entry raises
+    RowNotNormalError: a singular system, or a triple equal to the one
+    before it (along a block's top row the systems are nonsingular).
     """
+    _check_row_range(p, n_min, n_max)
+    _check_order(series, max(n_min, min(n_max, series.order - p + 1)), p)
     before = None
     for n in range(n_min, n_max + 1):
-        image = integer_vector(series.coeffs[: n + p + 1])
-        sol = _solve_entry(image, n, p)
-        if sol is None:
-            raise _not_normal(p, n_min, n_max, n)
-        det, y, a = sol
-        b = [v * image[1] for v in [det] + y]
-        # A = a / b[0] and B = b / b[0]; b[0] = det * scale is not zero
-        g = gcd(*a, *b) if det > 0 else -gcd(*a, *b)
-        pair = (_trimmed([x // g for x in a]), _trimmed([x // g for x in b]), b[0] // g)
-        if pair == before:
+        pair = _solve_entry(integer_vector(series.coeffs[: n + p + 1]), n, p)
+        if pair is None or pair == before:
             raise _not_normal(p, n_min, n_max, n)
         yield pair
         before = pair
@@ -564,9 +554,6 @@ def row_to_cf(series: PowerSeries, p: int, n_min: int, n_max: int) -> AlgebraicC
     the rest of the row. See cf_from_convergents for the offset convention
     when the first denominator is not the constant 1.
     """
-    _check_row_range(p, n_min, n_max)
-    # the first entry past the series fails before any entry is read
-    _check_order(series, max(n_min, min(n_max, series.order - p + 1)), p)
     pairs = _row_pairs(series, p, n_min, n_max)
     try:
         return _cf_from_integer_pairs(pairs, algebraic=True)

@@ -7,12 +7,15 @@ directly for that window, and every table normality flag, which the table
 reads from its own singular solves, against the four governing Hankel
 determinants computed by sympy. Tables and grids, which slice their
 systems out of one integer image of the series, are checked entry by
-entry against sympy's solves and determinants of the Fraction systems.
+entry against sympy's solves and determinants of the Fraction systems,
+and each table entry's integer triple for its one reduced form. The text
+of an integer quotient is checked against the text of its Fraction.
 """
 
 import re
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -29,6 +32,7 @@ from padelab import (
     pade_table,
     series_of_rational_function,
 )
+from padelab.core.scalars import format_quotient, format_rational
 from padelab.errors import InputError, InsufficientCoefficientsError, NonNormalWindowError
 
 sympy = pytest.importorskip("sympy")
@@ -307,6 +311,10 @@ class TestIntegerImage:
                 assert entry.is_block, (L, M)
             else:
                 assert (entry.fraction.num, entry.fraction.den) == expected, (L, M)
+                # the reduced triple: A = a/s, B = b/s, in the one canonical form
+                a, b, s = entry.pair
+                assert s > 0 and b[0] == s and gcd(s, *a, *b) == 1, (L, M)
+                assert a[-1:] != (0,) and b[-1] != 0, (L, M)
 
     @settings
     @hypothesis.given(image_grids())
@@ -331,7 +339,22 @@ class TestIntegerImage:
     @pytest.mark.parametrize("L, M", [(0, 0), (0, 3), (1, 5), (3, 2), (4, 4), (6, 1)])
     def test_approximant_reads_only_its_coefficients(self, series, L, M):
         """Coefficients past L + M, here with other denominators, change nothing."""
-        assert pade_approximant(series, L, M) == pade_approximant(series.truncated(L + M), L, M)
+        x, y = pade_approximant(series, L, M), pade_approximant(series.truncated(L + M), L, M)
+        assert x == y
+        assert hash(x) == hash(y)
+
+    @settings
+    @hypothesis.given(
+        st.integers(-(10**40), 10**40),
+        st.integers(1, 60) | st.integers(1, 10**60),
+    )
+    @hypothesis.example(0, 7)
+    @hypothesis.example(-4, 2)
+    @hypothesis.example(35, 8)
+    @hypothesis.example(-(10**50), 3 * 10**49)
+    def test_quotient_text_is_the_rational_text(self, x, s):
+        """An entry's text from its integers is the text of its Fraction."""
+        assert format_quotient(x, s) == format_rational(F(x, s))
 
 
 class TestHadamard:

@@ -18,12 +18,14 @@ from padelab import (
     precision,
     report_to_csv_rows,
     report_to_document,
+    row_to_cf,
     run_row_experiment,
     taylor_of_meromorphic,
     telescoped_row_series,
 )
 from padelab.errors import (
     InputError,
+    InsufficientCoefficientsError,
     OriginPoleError,
     RowNotNormalError,
     SchemaError,
@@ -340,6 +342,24 @@ class TestTelescoping:
         series = spec_of(EVEN_PAIR).taylor(6)
         with pytest.raises(RowNotNormalError, match=r"block at \[1/0\]"):
             telescoped_row_series(series, 0, 0, 4, F(1, 4))
+
+    @pytest.mark.parametrize(
+        "p, n_min, n_max, error",
+        [
+            (0, 2, 5, RowNotNormalError),  # [2/0] = [3/0] = 1 + z^2
+            (1, 0, 3, RowNotNormalError),  # [1/1] solves 0 * b_1 = -1
+            (1, 0, 8, InsufficientCoefficientsError),  # [6/1] needs c_7
+        ],
+        ids=["repeated-entry", "singular-system", "short-series"],
+    )
+    def test_rejected_as_row_to_cf_rejects(self, p, n_min, n_max, error):
+        series = spec_of(EVEN_PAIR).taylor(6)
+        with pytest.raises(error) as expected:
+            row_to_cf(series, p, n_min, n_max)
+        with pytest.raises(error) as got:
+            telescoped_row_series(series, p, n_min, n_max, F(1, 4))
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestReports:

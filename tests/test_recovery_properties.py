@@ -33,7 +33,7 @@ from padelab import (
     series_of_rational_function,
 )
 from padelab.errors import DegenerateSequenceError, PadelabError, RowNotNormalError
-from padelab.pade import _normal_row
+from padelab.pade import PadeEntry, _not_normal
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -205,6 +205,23 @@ def build_series(spec, order):
     if spec[1] <= order:
         coeffs[spec[1]] = F(0)
     return PowerSeries(coeffs)
+
+
+# The oracle of the streamed row: the row's entries, judged one Fraction pair
+# against the one before it, independently of the integer triples row_to_cf
+# compares.
+def _normal_row(series: PowerSeries, p: int, n_min: int, n_max: int) -> list[PadeEntry]:
+    """row_sequence, with RowNotNormalError at the first entry inside a block.
+
+    Along a block's top row the systems are nonsingular but the entries
+    repeat. A nonsingular system's one solution is the reduced approximant,
+    so a repeat shows as a pair equal to the one before it.
+    """
+    entries = row_sequence(series, p, n_min, n_max)
+    for entry, before in zip(entries, [None] + entries):
+        if entry.is_block or (before is not None and entry.fraction == before.fraction):
+            raise _not_normal(p, n_min, n_max, entry.L)
+    return entries
 
 
 def outcome(make):
