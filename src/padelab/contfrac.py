@@ -389,9 +389,9 @@ def cf_from_convergents(pairs: Iterable) -> ContinuedFraction:
 def _cf_from_integer_pairs(pairs: Iterator, algebraic: bool) -> ContinuedFraction:
     """The recovery of cf_from_convergents, on pairs given as _integer_pair makes them.
 
-    pairs yields at least one triple (a, b, s) of int sequences and an int,
-    the pair (a/s, b/s). It is read once; only the pairs k-2, k-1 and k of
-    the current step are kept.
+    pairs yields at least one triple (a, b, s), the pair (a/s, b/s). It is
+    read once, and only the pairs k-2, k-1 and k of the current step are
+    kept.
     """
     term = Polynomial if algebraic else _constant
     first = next(pairs)

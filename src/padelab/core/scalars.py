@@ -51,9 +51,7 @@ def format_rational(x) -> str:
 def format_quotient(x: int, s: int) -> str:
     """The text of the rational x/s, s > 0, in lowest terms, from one gcd."""
     g = gcd(x, s)
-    if g != 1:
-        x, s = x // g, s // g
-    return str(x) if s == 1 else f"{x}/{s}"
+    return str(x // g) if s == g else f"{x // g}/{s // g}"
 
 
 def integer_vector(values) -> tuple[list[int], int]:

@@ -542,9 +542,9 @@ def run_row_experiment(
     series = spec.taylor(n_max + p)
     # f's rational part, converted at the first entry that needs the grid
     f_prepared = None
-    # the last denominator's primitive integer vector and its roots; an entry
-    # whose denominator equals it, as every exact-recovery entry of a
-    # rational row does, reuses them
+    # the roots of the last denominator found; an entry whose denominator
+    # equals it, as every exact-recovery entry of a rational row does,
+    # reuses them
     den, roots = None, None
     records = []
     for n in range(n_min, n_max + 1):
@@ -556,15 +556,12 @@ def run_row_experiment(
                           None, 0, tuple(flags + ["block entry"]))
             )
             continue
-        fraction, b = entry.fraction, entry.pair[1]
+        fraction = entry.fraction
         del entry  # its fraction, built once, is all the grid reads
         exact = spec.is_exactly_rational and fraction.equivalent_to(spec.rational)
-        # B = b / b[0] with b[0] > 0, so the primitive vector of b tells B
-        g = math.gcd(*b)
-        b = [x // g for x in b]
-        if b != den:
-            den = b
-            roots = find_poly_roots(fraction.den)
+        if fraction.den != den:
+            den = fraction.den
+            roots = find_poly_roots(den)
         matching = pole_match(roots, expected)
         matches = matching.matches
         if exact:
